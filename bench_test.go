@@ -526,9 +526,10 @@ func benchDaemonStart(b *testing.B) *server.Client {
 		Registry: server.RegistryConfig{
 			NewEngine:      factory,
 			MaxSubscribers: 2048,
-			// Batched subscribers queue group-commit carriers, each a
+			// Stream subscribers queue group-commit carriers, each a
 			// whole batch, so 32 slots is thousands of events of
-			// headroom; the deep default exists for unbatched consumers.
+			// headroom; the deep default exists for in-process
+			// consumers, which queue one item per event.
 			// At 1024 subscribers the default's queue buffers alone are
 			// ~50MB of always-live, pointer-bearing heap, and every GC
 			// cycle's rescan of it would drown the fan-out being measured.

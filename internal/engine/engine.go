@@ -188,13 +188,9 @@ func New(cfg Config) (*Engine, error) {
 				cfg.MaxAcquireBuffer, warmup)
 		}
 	}
-	sys := cfg.System
-	if sys == nil {
-		var err error
-		sys, err = core.NewSystem(cfg.Deployment, cfg.Core)
-		if err != nil {
-			return nil, fmt.Errorf("engine: %w", err)
-		}
+	sys, err := cfg.system()
+	if err != nil {
+		return nil, err
 	}
 	e := &Engine{
 		cfg:     cfg,
@@ -208,16 +204,27 @@ func New(cfg Config) (*Engine, error) {
 	}
 	for i := range e.shards {
 		sh := &shard{
-			id:       i,
-			eng:      e,
-			in:       make(chan shardMsg, 16),
-			done:     make(chan struct{}),
-			trackers: map[rfid.EPC]*tagState{},
+			id:   i,
+			eng:  e,
+			in:   make(chan shardMsg, 16),
+			done: make(chan struct{}),
 		}
 		e.shards[i] = sh
 		go sh.loop()
 	}
 	return e, nil
+}
+
+// system returns cfg.System, or builds one from Deployment and Core.
+func (cfg *Config) system() (*core.System, error) {
+	if cfg.System != nil {
+		return cfg.System, nil
+	}
+	sys, err := core.NewSystem(cfg.Deployment, cfg.Core)
+	if err != nil {
+		return nil, fmt.Errorf("engine: %w", err)
+	}
+	return sys, nil
 }
 
 // System exposes the shared read-only positioning system.

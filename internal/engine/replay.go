@@ -2,32 +2,27 @@ package engine
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 
 	"rfidraw/internal/core"
-	"rfidraw/internal/realtime"
 	"rfidraw/internal/rfid"
 	"rfidraw/internal/vote"
 )
 
 // Replayer re-runs a canonical resequenced report stream — a session's
 // write-ahead log — through the exact live pipeline, synchronously on
-// the caller's goroutine. It mirrors the sharded engine's per-tag
-// tracker construction (same Config knobs, same code path) minus the
-// scheduler, so replaying a log reproduces the live session's per-tag
-// output bit for bit: the sharded engine and the Replayer are the third
-// and fourth schedulers over the one tracing core, after batch and
-// streaming.
+// the caller's goroutine. It shares the sharded engine's per-tag tag set
+// (same tracker construction from the same Config knobs, same offer,
+// flush and result code) minus the scheduler, so replaying a log
+// reproduces the live session's per-tag output bit for bit: the sharded
+// engine and the Replayer are the third and fourth schedulers over the
+// one tracing core, after batch and streaming.
 //
 // A Replayer is single-goroutine and single-use: feed Offer/Flush in
 // log order, then read Results.
 type Replayer struct {
-	cfg     Config
-	sys     *core.System
-	scratch *vote.Scratch
-	tags    map[rfid.EPC]*tagState
-	order   []rfid.EPC
+	sys  *core.System
+	tags *tagSet
 
 	// OnUpdate, when set, receives each tag's new positions inline from
 	// Offer/Flush (the catch-up feeder uses it; retrace only needs
@@ -45,64 +40,20 @@ func NewReplayer(cfg Config) (*Replayer, error) {
 	if cfg.SweepInterval <= 0 {
 		return nil, errors.New("engine: Config.SweepInterval required for replay")
 	}
-	sys := cfg.System
-	if sys == nil {
-		var err error
-		sys, err = core.NewSystem(cfg.Deployment, cfg.Core)
-		if err != nil {
-			return nil, fmt.Errorf("engine: %w", err)
-		}
+	sys, err := cfg.system()
+	if err != nil {
+		return nil, err
 	}
-	return &Replayer{
-		cfg:     cfg,
-		sys:     sys,
-		scratch: vote.NewScratch(),
-		tags:    map[rfid.EPC]*tagState{},
-	}, nil
+	return &Replayer{sys: sys, tags: newTagSet(&cfg, sys, vote.NewScratch())}, nil
 }
 
 // System exposes the replayer's positioning system.
 func (r *Replayer) System() *core.System { return r.sys }
 
-// tag returns (building on first sight) the report's tag pipeline,
-// mirroring shard.offer.
-func (r *Replayer) tag(epc rfid.EPC) *tagState {
-	ts, ok := r.tags[epc]
-	if ok {
-		return ts
-	}
-	tracker, err := realtime.NewTracker(realtime.Config{
-		System:           r.sys,
-		SweepInterval:    r.cfg.SweepInterval,
-		MaxPhaseAge:      r.cfg.MaxPhaseAge,
-		WarmupSamples:    r.cfg.WarmupSamples,
-		MaxAcquireBuffer: r.cfg.MaxAcquireBuffer,
-		ReacquireVote:    r.cfg.ReacquireVote,
-		ReacquireWindow:  r.cfg.ReacquireWindow,
-		RecordTrace:      r.cfg.RecordTrace,
-		Scratch:          r.scratch,
-	})
-	ts = &tagState{tracker: tracker}
-	if err != nil {
-		ts.err = fmt.Errorf("engine: tag %s: %w", epc, err)
-		ts.tracker = nil
-	}
-	r.tags[epc] = ts
-	r.order = append(r.order, epc)
-	return ts
-}
-
-// Offer replays one report (in log order).
+// Offer replays one report (in log order). A tag that failed terminally
+// drops its reports, exactly as on a shard.
 func (r *Replayer) Offer(rep rfid.Report) error {
-	ts := r.tag(rep.EPC)
-	if ts.err != nil {
-		return nil // tag failed terminally; mirror the shard and drop
-	}
-	ps, err := ts.tracker.Offer(rep)
-	r.emit(rep.EPC, ts, ps)
-	if err != nil {
-		ts.err = fmt.Errorf("engine: tag %s: %w", rep.EPC, err)
-	}
+	r.tags.offer(rep, r.OnUpdate)
 	return nil
 }
 
@@ -111,47 +62,16 @@ func (r *Replayer) Offer(rep rfid.Report) error {
 // flush is idempotent), which is what makes a replay that always
 // finishes with a Flush equivalent to a log whose last record already
 // was one.
-func (r *Replayer) Flush() {
-	for _, epc := range r.order {
-		ts := r.tags[epc]
-		if ts.err != nil || ts.tracker == nil {
-			continue
-		}
-		ps, err := ts.tracker.Flush()
-		r.emit(epc, ts, ps)
-		if err != nil {
-			ts.err = fmt.Errorf("engine: tag %s: %w", epc, err)
-		}
-	}
-}
-
-func (r *Replayer) emit(epc rfid.EPC, ts *tagState, ps []realtime.Position) {
-	if len(ps) == 0 {
-		return
-	}
-	ts.positions += len(ps)
-	if r.OnUpdate != nil {
-		r.OnUpdate(Update{Tag: epc.String(), Positions: ps})
-	}
-}
+func (r *Replayer) Flush() { r.tags.flush(r.OnUpdate) }
 
 // Results materializes each acquired tag's batch-equivalent TraceResult
 // (requires Config.RecordTrace), sorted by tag key. Tags that never
 // acquired or failed terminally are reported with their error.
 func (r *Replayer) Results() []TagResult {
-	out := make([]TagResult, 0, len(r.tags))
-	for _, epc := range r.order {
-		out = append(out, r.tags[epc].traceResult(epc))
-	}
+	out := r.tags.results()
 	sort.Slice(out, func(i, j int) bool { return out[i].Tag < out[j].Tag })
 	return out
 }
 
 // Positions reports how many positions each tag emitted during replay.
-func (r *Replayer) Positions() map[string]int {
-	out := make(map[string]int, len(r.tags))
-	for epc, ts := range r.tags {
-		out[epc.String()] = ts.positions
-	}
-	return out
-}
+func (r *Replayer) Positions() map[string]int { return r.tags.positions() }

@@ -1,10 +1,8 @@
 package engine
 
 import (
-	"fmt"
 	"sync"
 
-	"rfidraw/internal/realtime"
 	"rfidraw/internal/rfid"
 	"rfidraw/internal/tracing"
 	"rfidraw/internal/vote"
@@ -41,31 +39,27 @@ type shardMsg struct {
 	results chan []TagResult
 }
 
-// tagState is one streamed tag's pipeline, confined to its home shard.
-type tagState struct {
-	tracker   *realtime.Tracker
-	positions int
-	err       error
-}
-
 // shard is one worker: a goroutine owning the per-tag state of every tag
 // hashed onto it.
 type shard struct {
-	id       int
-	eng      *Engine
-	in       chan shardMsg
-	done     chan struct{}
-	trackers map[rfid.EPC]*tagState
+	id   int
+	eng  *Engine
+	in   chan shardMsg
+	done chan struct{}
 	// scratch is the shard's reusable refinement scratch, held for the
 	// shard goroutine's lifetime (from the engine's scratchPool) and
 	// shared by every batch trace and live tracker on this shard.
 	scratch *vote.Scratch
+	// tags is the shard's live per-tag state, built on the shard
+	// goroutine once its scratch is in hand.
+	tags *tagSet
 }
 
 func (s *shard) loop() {
 	defer close(s.done)
 	s.scratch = scratchPool.Get().(*vote.Scratch)
 	defer scratchPool.Put(s.scratch)
+	s.tags = newTagSet(&s.eng.cfg, s.eng.sys, s.scratch)
 	for msg := range s.in {
 		switch {
 		case msg.job != nil:
@@ -74,123 +68,15 @@ func (s *shard) loop() {
 			msg.job.wg.Done()
 		case msg.reports != nil:
 			for _, rep := range *msg.reports {
-				s.offer(rep)
+				s.tags.offer(rep, s.eng.cfg.OnUpdate)
 			}
 			s.eng.batchPool.Put(msg.reports)
 		case msg.flush != nil:
-			msg.flush <- s.flushTrackers()
+			msg.flush <- s.tags.flush(s.eng.cfg.OnUpdate)
 		case msg.stats != nil:
-			msg.stats <- s.collectStats()
+			msg.stats <- s.tags.stats()
 		case msg.results != nil:
-			msg.results <- s.collectResults()
+			msg.results <- s.tags.results()
 		}
 	}
-}
-
-// offer feeds one report into its tag's tracker, creating the tracker on
-// first sight — a tag appearing mid-stream simply starts its own pipeline
-// at its first report.
-func (s *shard) offer(rep rfid.Report) {
-	ts, ok := s.trackers[rep.EPC]
-	if !ok {
-		tracker, err := realtime.NewTracker(realtime.Config{
-			System:           s.eng.sys,
-			SweepInterval:    s.eng.cfg.SweepInterval,
-			MaxPhaseAge:      s.eng.cfg.MaxPhaseAge,
-			WarmupSamples:    s.eng.cfg.WarmupSamples,
-			MaxAcquireBuffer: s.eng.cfg.MaxAcquireBuffer,
-			ReacquireVote:    s.eng.cfg.ReacquireVote,
-			ReacquireWindow:  s.eng.cfg.ReacquireWindow,
-			RecordTrace:      s.eng.cfg.RecordTrace,
-			Scratch:          s.scratch,
-		})
-		ts = &tagState{tracker: tracker}
-		if err != nil {
-			ts.err = fmt.Errorf("engine: tag %s: %w", rep.EPC, err)
-			ts.tracker = nil
-		}
-		s.trackers[rep.EPC] = ts
-	}
-	if ts.err != nil {
-		return // tag's pipeline failed terminally; drop its reports
-	}
-	ps, err := ts.tracker.Offer(rep)
-	s.emit(rep.EPC, ts, ps)
-	if err != nil {
-		ts.err = fmt.Errorf("engine: tag %s: %w", rep.EPC, err)
-	}
-}
-
-// emit forwards new positions to the engine's OnUpdate callback.
-func (s *shard) emit(epc rfid.EPC, ts *tagState, ps []realtime.Position) {
-	if len(ps) == 0 {
-		return
-	}
-	ts.positions += len(ps)
-	if s.eng.cfg.OnUpdate != nil {
-		s.eng.cfg.OnUpdate(Update{Tag: epc.String(), Positions: ps})
-	}
-}
-
-func (s *shard) flushTrackers() error {
-	var first error
-	for epc, ts := range s.trackers {
-		if ts.err != nil || ts.tracker == nil {
-			continue // already failed; reported via Stats
-		}
-		ps, err := ts.tracker.Flush()
-		s.emit(epc, ts, ps)
-		if err != nil {
-			ts.err = fmt.Errorf("engine: tag %s: %w", epc, err)
-			if first == nil {
-				first = ts.err
-			}
-		}
-	}
-	return first
-}
-
-// collectResults materializes batch-equivalent trace results for every
-// acquired tag on this shard (engine Config.RecordTrace).
-func (s *shard) collectResults() []TagResult {
-	out := make([]TagResult, 0, len(s.trackers))
-	for epc, ts := range s.trackers {
-		out = append(out, ts.traceResult(epc))
-	}
-	return out
-}
-
-// traceResult materializes one streamed tag's batch-equivalent outcome;
-// shared by the shard and the Replayer so the two schedulers cannot
-// diverge in how a tag's state becomes a TagResult.
-func (ts *tagState) traceResult(epc rfid.EPC) TagResult {
-	res := TagResult{Tag: epc.String()}
-	switch {
-	case ts.err != nil:
-		res.Err = ts.err
-	case ts.tracker == nil || !ts.tracker.Started():
-		res.Err = fmt.Errorf("engine: tag %s: never acquired", epc)
-	default:
-		res.Result, res.Err = ts.tracker.TraceResult()
-	}
-	return res
-}
-
-func (s *shard) collectStats() []TagStats {
-	out := make([]TagStats, 0, len(s.trackers))
-	for epc, ts := range s.trackers {
-		st := TagStats{Tag: epc.String(), Positions: ts.positions, Err: ts.err}
-		if ts.tracker != nil {
-			st.Started = ts.tracker.Started()
-			st.MeanVote = ts.tracker.MeanVote()
-			st.Reacquisitions = ts.tracker.Reacquisitions()
-			st.Hypotheses = ts.tracker.ActiveHypotheses()
-			st.LeaderSwitches = ts.tracker.LeaderSwitches()
-			st.Retirements = ts.tracker.Retirements()
-			st.Buffered = ts.tracker.Buffered()
-			st.SearchEvals = ts.tracker.SearchEvals()
-		}
-		out = append(out, st)
-	}
-	return out
 }

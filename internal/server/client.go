@@ -192,14 +192,6 @@ func (c *Client) CreateSession(ctx context.Context, spec SessionSpec) (string, e
 	return out.ID, nil
 }
 
-// CreateSessionGeometry opens a session on a named antenna geometry.
-//
-// Deprecated: build a SessionSpec and call CreateSession; this wrapper
-// survives for old callers only.
-func (c *Client) CreateSessionGeometry(ctx context.Context, id string, sweep time.Duration, geometry string) (string, error) {
-	return c.CreateSession(ctx, SessionSpec{ID: id, Sweep: sweep, Geometry: geometry})
-}
-
 // DeleteSession closes a session (and forgets its retained record).
 func (c *Client) DeleteSession(ctx context.Context, id string) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, c.BaseURL+"/v1/sessions/"+id, nil)

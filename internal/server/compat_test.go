@@ -253,30 +253,3 @@ func TestNDJSONWireFields(t *testing.T) {
 		}
 	}
 }
-
-// TestDeprecatedConstructorWrappers: the geometry-suffixed pairs still
-// compile and behave exactly like their SessionSpec forms. (This test is
-// the one sanctioned caller; CI lints any other internal use.)
-func TestDeprecatedConstructorWrappers(t *testing.T) {
-	run, _ := scenario(t)
-	reg := testRegistry(t, RegistryConfig{})
-	sess, err := reg.OpenGeometry("dep-open", perTagSweep(run), "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sess.ID != "dep-open" || sess.State() != "live" {
-		t.Fatalf("OpenGeometry wrapper: id=%q state=%q", sess.ID, sess.State())
-	}
-
-	srv, cl := compatServer(t)
-	_ = srv
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	id, err := cl.CreateSessionGeometry(ctx, "dep-create", 25*time.Millisecond, "default")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id != "dep-create" {
-		t.Fatalf("CreateSessionGeometry wrapper returned id %q", id)
-	}
-}

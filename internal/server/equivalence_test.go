@@ -85,10 +85,12 @@ func TestBurstOfferEquivalence(t *testing.T) {
 	}
 }
 
-// TestEncodingEquivalenceLive subscribes one NDJSON and one binary
-// consumer to the same live session and requires the decoded event
-// streams to be deep-equal: the binary encoding is a wire optimization,
-// not a different stream.
+// TestEncodingEquivalenceLive subscribes one NDJSON consumer, one binary
+// consumer and one in-process Subscriber to the same live session and
+// requires the three decoded event streams to be deep-equal: the binary
+// encoding is a wire optimization, not a different stream, and the
+// in-process consumer takes the same group-commit batches as the wire
+// consumers, only unencoded.
 func TestEncodingEquivalenceLive(t *testing.T) {
 	run, _ := scenario(t)
 	srv, err := New(Config{
@@ -125,11 +127,28 @@ func TestEncodingEquivalenceLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var fromNDJSON, fromBinary []Event
+	sess, ok := srv.Registry().Get(id)
+	if !ok {
+		t.Fatalf("session %s not registered", id)
+	}
+	inProcess, err := sess.Subscribe(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fromNDJSON, fromBinary, fromInProcess []Event
 	var wg sync.WaitGroup
-	wg.Add(2)
+	wg.Add(3)
 	go collectEvents(ndjsonEvents, &fromNDJSON, &wg)
 	go collectEvents(binaryEvents, &fromBinary, &wg)
+	go func() {
+		defer wg.Done()
+		for ev := range inProcess.Events() {
+			// Only the wire-visible fields count: the queue-side stamps
+			// (tier class, enqueue time) never reach a wire consumer.
+			ev.minTier, ev.enq = 0, 0
+			fromInProcess = append(fromInProcess, ev)
+		}
+	}()
 
 	rs, err := ndjsonClient.DialIngest(id, readerwire.Hello{
 		Proto: readerwire.ProtoVersion, ReaderID: 1, AntennaCount: 4,
@@ -138,7 +157,8 @@ func TestEncodingEquivalenceLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, rep := range realtime.MergeStreams(run.ReportsRF...) {
+	merged := realtime.MergeStreams(run.ReportsRF...)
+	for _, rep := range merged {
 		if err := rs.Send(rep); err != nil {
 			t.Fatal(err)
 		}
@@ -149,6 +169,7 @@ func TestEncodingEquivalenceLive(t *testing.T) {
 	if err := rs.Close(); err != nil {
 		t.Fatal(err)
 	}
+	awaitIngested(t, srv, id, len(merged))
 	if err := ndjsonClient.DrainSession(ctx, id); err != nil {
 		t.Fatal(err)
 	}
@@ -164,6 +185,7 @@ func TestEncodingEquivalenceLive(t *testing.T) {
 		}
 	}
 	compareEventStreams(t, fromNDJSON, fromBinary)
+	compareEventStreams(t, fromNDJSON, fromInProcess)
 }
 
 // TestEncodingEquivalenceCatchup repeats the equivalence through the
@@ -222,6 +244,7 @@ func TestEncodingEquivalenceCatchup(t *testing.T) {
 	}
 	// Drain so the prefix is on disk and the catch-up head is stable
 	// before either subscriber snapshots it.
+	awaitIngested(t, srv, id, len(prefix))
 	if err := ndjsonClient.DrainSession(ctx, id); err != nil {
 		t.Fatal(err)
 	}
@@ -250,9 +273,18 @@ func TestEncodingEquivalenceCatchup(t *testing.T) {
 	if err := rs.Close(); err != nil {
 		t.Fatal(err)
 	}
+	awaitIngested(t, srv, id, len(merged))
 	if err := ndjsonClient.DrainSession(ctx, id); err != nil {
 		t.Fatal(err)
 	}
+	// Deleting the session cancels a catch-up still replaying, by design
+	// (the delete also deletes the log it reads), which would cut that
+	// stream short. Wait for both to splice onto the live stream first.
+	sess, ok := srv.Registry().Get(id)
+	if !ok {
+		t.Fatalf("session %s not registered", id)
+	}
+	awaitCatchupSpliced(t, sess)
 	if err := ndjsonClient.DeleteSession(ctx, id); err != nil {
 		t.Fatal(err)
 	}
@@ -280,6 +312,47 @@ func TestEncodingEquivalenceCatchup(t *testing.T) {
 	compareEventStreams(t, fromNDJSON, fromBinary)
 }
 
+// awaitIngested waits until the session's pump has taken n reports. The
+// ingest gateway reads a reader connection asynchronously, so a drain
+// issued right after the client's last write could overtake reports
+// still in flight on the socket and leave them out of the drain.
+func awaitIngested(t *testing.T, srv *Server, id string, n int) {
+	t.Helper()
+	sess, ok := srv.Registry().Get(id)
+	if !ok {
+		t.Fatalf("session %s not registered", id)
+	}
+	for deadline := time.Now().Add(30 * time.Second); sess.reports.Load() < int64(n); {
+		if time.Now().After(deadline) {
+			t.Fatalf("session %s took %d of %d reports in 30s", id, sess.reports.Load(), n)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// awaitCatchupSpliced waits until no subscriber of the session is still
+// replaying its catch-up prefix.
+func awaitCatchupSpliced(t *testing.T, sess *Session) {
+	t.Helper()
+	for deadline := time.Now().Add(30 * time.Second); ; {
+		sess.emitMu.Lock()
+		replaying := 0
+		for sub := range sess.subs {
+			if sub.catchingUp {
+				replaying++
+			}
+		}
+		sess.emitMu.Unlock()
+		if replaying == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d catch-up subscribers still replaying after 30s", replaying)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // compareEventStreams requires two decoded streams to be deep-equal and
 // free of per-subscriber drop forks.
 func compareEventStreams(t *testing.T, a, b []Event) {
@@ -293,11 +366,11 @@ func compareEventStreams(t *testing.T, a, b []Event) {
 		t.Fatal("no events decoded")
 	}
 	if len(a) != len(b) {
-		t.Fatalf("stream lengths diverged: %d NDJSON events vs %d binary", len(a), len(b))
+		t.Fatalf("stream lengths diverged: %d NDJSON events vs %d", len(a), len(b))
 	}
 	for i := range a {
 		if !reflect.DeepEqual(a[i], b[i]) {
-			t.Fatalf("event %d diverged:\n  ndjson: %+v\n  binary: %+v", i, a[i], b[i])
+			t.Fatalf("event %d diverged:\n  ndjson: %+v\n  other:  %+v", i, a[i], b[i])
 		}
 	}
 }

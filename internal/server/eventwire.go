@@ -214,8 +214,10 @@ func (r *EventReader) next() (Event, error) {
 		}
 		return Event{}, err
 	}
+	// The CRC comes from frame, not hdr: the second Peek may have slid
+	// the buffer under the first one's slice.
 	payload := frame[eventFrameHeader:]
-	if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(hdr[4:]) {
+	if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(frame[4:8]) {
 		return Event{}, fmt.Errorf("%w: CRC mismatch", ErrBadEventFrame)
 	}
 	ev, err := decodeEventPayload(payload)

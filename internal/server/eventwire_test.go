@@ -193,3 +193,55 @@ func TestEventStrictRejectsCorruptCRC(t *testing.T) {
 		t.Fatalf("want ErrBadEventFrame on CRC damage, got %v", err)
 	}
 }
+
+// chunkReader returns its data in fixed-size reads that ignore frame
+// boundaries, the way a network stream arrives.
+type chunkReader struct {
+	data  []byte
+	chunk int
+}
+
+func (r *chunkReader) Read(p []byte) (int, error) {
+	if len(r.data) == 0 {
+		return 0, io.EOF
+	}
+	n := min(len(p), r.chunk, len(r.data))
+	copy(p, r.data[:n])
+	r.data = r.data[n:]
+	return n, nil
+}
+
+// TestEventReaderFramesStraddlingReads: a valid stream decodes whole in
+// both modes however its frames straddle the underlying reads — the
+// buffer moving between a frame's header and its payload must not fail
+// the CRC.
+func TestEventReaderFramesStraddlingReads(t *testing.T) {
+	const points = 200
+	stream := fuzzEventStream(t, points)
+	want := points + 5 // the stream's trailing glyph, drop, stroke, tier and end
+	for _, chunk := range []int{37, 100, 4096} {
+		for _, resync := range []bool{false, true} {
+			src := &chunkReader{data: stream, chunk: chunk}
+			r := NewEventReader(src)
+			if resync {
+				r = NewResyncEventReader(src)
+			}
+			got := 0
+			for {
+				ev, err := r.Next()
+				if errors.Is(err, io.EOF) {
+					break
+				}
+				if err != nil {
+					t.Fatalf("chunk %d resync=%v: after %d events: %v", chunk, resync, got, err)
+				}
+				checkWireEvent(t, ev)
+				got++
+			}
+			if got != want || r.Resyncs() != 0 {
+				t.Fatalf("chunk %d resync=%v: decoded %d events with %d resyncs, want %d with 0",
+					chunk, resync, got, r.Resyncs(), want)
+			}
+		}
+	}
+}

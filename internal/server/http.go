@@ -344,21 +344,21 @@ func streamTier(r *http.Request) (SubscribeTier, error) {
 // ?encoding query parameter (ndjson | binary) wins, else an Accept
 // header naming the binary media type selects binary, else NDJSON (the
 // compatibility default). An unknown ?encoding value is an error.
-func streamEncoding(r *http.Request) (binary bool, err error) {
+func streamEncoding(r *http.Request) (WireEncoding, error) {
 	switch enc := r.URL.Query().Get("encoding"); enc {
 	case "":
 		// Fall through to Accept negotiation.
 	case "ndjson":
-		return false, nil
+		return WireNDJSON, nil
 	case "binary":
-		return true, nil
+		return WireBinary, nil
 	default:
-		return false, fmt.Errorf("unknown encoding %q (want ndjson or binary)", enc)
+		return WireNone, fmt.Errorf("unknown encoding %q (want ndjson or binary)", enc)
 	}
 	if strings.Contains(r.Header.Get("Accept"), EventStreamContentType) {
-		return true, nil
+		return WireBinary, nil
 	}
-	return false, nil
+	return WireNDJSON, nil
 }
 
 // handleStream is the live delivery path: a chunked stream of the
@@ -376,8 +376,8 @@ func streamEncoding(r *http.Request) (binary bool, err error) {
 // coalesces them into batches, marshals each batch exactly once per
 // encoding, and every stream writer shares the resulting immutable
 // bytes — one queue item and one Write per batch, identical bytes on
-// the wire. This writer only marshals locally for events that bypass
-// that path (catch-up replays, drop notices).
+// the wire. This writer only marshals locally for events outside the
+// group commit (catch-up replays, drop and tier notices).
 //
 // With ?from=seq (WAL-backed sessions) the subscriber first catches up
 // from the session's recorded history — points derived from log records
@@ -391,7 +391,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "not_found", "unknown session")
 		return
 	}
-	binary, err := streamEncoding(r)
+	wire, err := streamEncoding(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
@@ -401,7 +401,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
 	}
-	opts := SubscribeOptions{Binary: binary, Batched: true, Tier: tier}
+	opts := SubscribeOptions{Wire: wire, Tier: tier}
 	var sub *Subscriber
 	if fromStr := r.URL.Query().Get("from"); fromStr != "" || sess.Recovered() {
 		from := uint64(0)
@@ -431,6 +431,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 	defer sub.Close()
 	flusher, _ := w.(http.Flusher)
+	binary := wire == WireBinary
 	if binary {
 		w.Header().Set("Content-Type", EventStreamContentType)
 	} else {
@@ -443,31 +444,26 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 	enc := json.NewEncoder(w)
 	pipeline := s.reg.Pipeline()
-	// scratch backs the marshal-locally fallback for events without
-	// shared wire bytes; reused across events, never escapes this writer.
+	// scratch backs the marshal-locally path for events outside the
+	// group commit; reused across events, never escapes this writer.
 	var scratch []byte
 	writeEvent := func(ev Event) error {
 		if ev.enq > 0 {
 			pipeline.ObserveStage(obs.StageWrite, obs.Now()-ev.enq, sess.stripe)
 		}
+		if ev.wire != nil {
+			// A group-commit carrier: forward its shared encoded run.
+			run := ev.wire.ndjson
+			if binary {
+				run = ev.wire.binary
+			}
+			_, err := w.Write(run)
+			return err
+		}
 		if binary {
-			if ev.wire != nil && ev.wire.binary != nil {
-				_, err := w.Write(ev.wire.binary)
-				return err
-			}
-			if ev.batchLen > 0 {
-				return nil // carrier: only its pre-encoded bytes have meaning
-			}
 			scratch = appendEventFrame(scratch[:0], &ev)
 			_, err := w.Write(scratch)
 			return err
-		}
-		if ev.wire != nil && ev.wire.ndjson != nil {
-			_, err := w.Write(ev.wire.ndjson)
-			return err
-		}
-		if ev.batchLen > 0 {
-			return nil // carrier: only its pre-encoded bytes have meaning
 		}
 		return enc.Encode(ev)
 	}

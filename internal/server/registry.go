@@ -591,14 +591,6 @@ func (r *Registry) admitLockedUnsafe(id string) error {
 	return nil
 }
 
-// OpenGeometry creates a session bound to a named antenna geometry.
-//
-// Deprecated: build a SessionSpec and call Open; this wrapper survives
-// for old callers only.
-func (r *Registry) OpenGeometry(id string, sweep time.Duration, geometry string) (*Session, error) {
-	return r.Open(SessionSpec{ID: id, Sweep: sweep, Geometry: geometry})
-}
-
 // validateSearch bounds a per-session search override to what the WAL
 // meta can record (and sane mode values).
 func validateSearch(sc *vote.SearchConfig) error {

@@ -38,57 +38,34 @@ func (s *Session) SubscribeFrom(from uint64, buffer int) (*Subscriber, error) {
 }
 
 // SubscribeFromOpts is SubscribeFrom with the full option set (buffer
-// size, binary wire encoding).
+// size, wire encoding, tier).
 func (s *Session) SubscribeFromOpts(from uint64, o SubscribeOptions) (*Subscriber, error) {
 	if s.reg.cfg.WAL == nil || s.reg.cfg.NewReplayer == nil {
 		return nil, ErrNoWAL
 	}
-	buffer := o.Buffer
-	if buffer <= 0 {
-		buffer = s.reg.cfg.SubscriberQueue
-	}
-	tier := o.Tier.level()
-	sub := &Subscriber{
-		sess:       s,
-		ch:         make(chan Event, buffer),
-		catchingUp: true,
-		binary:     o.Binary,
-		batched:    o.Batched,
-		tier:       tier,
-		maxTier:    tier,
-		cancel:     make(chan struct{}),
-	}
-	if s.Recovered() {
-		s.emitMu.Lock()
-		if !s.replayAttachable {
-			s.emitMu.Unlock()
-			return nil, ErrSessionClosed
-		}
-		if len(s.subs) >= s.reg.cfg.MaxSubscribers {
-			s.emitMu.Unlock()
-			return nil, ErrSubscriberLimit
-		}
+	sub := s.newSubscriber(o)
+	sub.catchingUp = true
+	sub.cancel = make(chan struct{})
+	recovered := s.Recovered()
+	s.emitMu.Lock()
+	err := s.admitLocked(recovered)
+	if err == nil && recovered {
 		s.addSubLocked(sub)
-		s.emitMu.Unlock()
+	}
+	s.emitMu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+	if recovered {
 		s.touch() // retention clock: the record is in active use
 		go s.runCatchup(sub, from, 0, true)
 		return sub, nil
 	}
-	// Live session: admission under emitMu, then the pump-mediated
+	// Live session: admitted above, now the pump-mediated
 	// drain-and-attach (the subscriber limit is re-checked by nobody —
 	// a racing attach may briefly overshoot the cap by the number of
 	// in-flight catch-ups, which is the usual bounded-staleness of the
 	// admission counters).
-	s.emitMu.Lock()
-	if s.subsClosed || s.closing {
-		s.emitMu.Unlock()
-		return nil, ErrSessionClosed
-	}
-	if len(s.subs) >= s.reg.cfg.MaxSubscribers {
-		s.emitMu.Unlock()
-		return nil, ErrSubscriberLimit
-	}
-	s.emitMu.Unlock()
 	req := &catchupReq{sub: sub, head: make(chan uint64, 1)}
 	if err := s.enqueue(ingestItem{catchup: req}); err != nil {
 		return nil, err

@@ -92,21 +92,16 @@ type Event struct {
 	// set by the broadcast path so the stream writer can observe the
 	// queue-to-wire stage. Unexported: invisible on the wire.
 	enq int64
-	// wire carries the event's pre-marshaled encodings, produced exactly
-	// once per broadcast for whichever encodings have attached
-	// subscribers; every subscriber's stream writer shares the immutable
-	// byte slices instead of re-marshaling. nil on events that bypass the
-	// broadcast path (catch-up replays, per-subscriber drop notices) —
-	// those writers fall back to marshaling locally. Unexported:
-	// invisible on the wire.
-	wire *eventWire
-	// batchLen marks a group-commit carrier: an Event whose only meaning
-	// is its wire field, holding batchLen consecutive events pre-encoded
-	// as one contiguous byte run (see emitFlusher). Carriers exist only
-	// on batched subscribers' queues — the wire bytes a stream writer
-	// forwards are identical whether events travel one per queue item or
-	// many — and weigh batchLen events in drop accounting. Zero on every
-	// real event.
+	// wire and batchLen mark a group-commit carrier: an Event whose only
+	// meaning is its wire field, holding batchLen consecutive events
+	// pre-encoded as one contiguous byte run per encoding (see
+	// flushEmitLocked). Carriers exist only on the queues of subscribers
+	// with a wire encoding, whose stream writers forward the shared
+	// immutable bytes instead of re-marshaling, and weigh batchLen events
+	// in drop accounting. nil and zero on every real event; a stream
+	// writer marshals those (catch-up replays, drop and tier notices)
+	// locally. Unexported: invisible on the wire.
+	wire     *eventWire
 	batchLen int
 }
 
@@ -146,14 +141,14 @@ func (ev Event) MarshalJSON() ([]byte, error) {
 	return json.Marshal(plain(ev))
 }
 
-// eventWire is one event's shared pre-marshaled encodings. The slices
-// are immutable after broadcast: many subscriber writers read them
+// eventWire is one carrier's shared pre-marshaled byte runs. The slices
+// are immutable once delivered: many subscriber writers read them
 // concurrently with no copy.
 type eventWire struct {
-	// ndjson is one newline-terminated NDJSON line (byte-identical to
-	// what json.Encoder.Encode writes).
+	// ndjson is newline-terminated NDJSON lines (byte-identical to what
+	// json.Encoder.Encode writes, one per event).
 	ndjson []byte
-	// binary is one CRC-framed binary event frame (see eventwire.go).
+	// binary is CRC-framed binary event frames (see eventwire.go).
 	binary []byte
 }
 
@@ -214,14 +209,9 @@ type catchupReq struct {
 type Subscriber struct {
 	sess *Session
 	ch   chan Event
-	// binary marks a subscriber consuming the CRC-framed binary event
-	// encoding; the broadcast path pre-marshals an encoding exactly once
-	// per event when at least one attached subscriber wants it.
-	binary bool
-	// batched marks a subscriber on group-commit delivery (see
-	// SubscribeOptions.Batched): its queue carries batch carriers from
-	// the emit flusher instead of one item per event.
-	batched bool
+	// wire is the encoding the subscriber's queue carries (see
+	// SubscribeOptions.Wire).
+	wire WireEncoding
 	// pendingDrops counts events lost since the last successfully
 	// delivered drop notice; guarded by the session's emitMu.
 	pendingDrops int
@@ -355,17 +345,11 @@ type Session struct {
 	subsClosed       bool
 	replayAttachable bool
 	strokes          map[string]*stroke
-	// plainSubs / batchedSubs count the attached subscribers by delivery
-	// mode (guarded by emitMu) so the per-event broadcast path can skip a
-	// whole fan-out mode — including its O(subscribers) loop — when no
-	// subscriber uses it.
-	plainSubs   int
-	batchedSubs int
 	// Group-commit state (guarded by emitMu except the channels): events
-	// bound for batched subscribers accumulate in emitBuf; emitKick (cap
-	// 1) nudges the emitFlusher goroutine, which swaps the buffer against
+	// bound for subscribers accumulate in emitBuf; emitKick (cap 1)
+	// nudges the emitFlusher goroutine, which swaps the buffer against
 	// emitSpare, encodes the batch once per needed encoding and delivers
-	// one carrier per subscriber. emitQuit/emitDone sequence the final
+	// it to every subscriber. emitQuit/emitDone sequence the final
 	// drain into Close, after the pump's end event and before the
 	// subscriber sweep. All nil on recovered sessions (no flusher).
 	emitBuf   []Event
@@ -375,8 +359,8 @@ type Session struct {
 	emitDone  chan struct{}
 	// emitPace is the flusher's fan-out-aware accumulation window in
 	// nanoseconds (atomic: written under emitMu, read by the flusher
-	// before locking). Delivering a carrier costs every batched
-	// subscriber a wake and a socket write, so at wide fan-out the
+	// before locking). Delivering a batch costs every subscriber a wake
+	// (and a stream subscriber a socket write), so at wide fan-out the
 	// flusher waits this long after a kick before committing, letting
 	// the batch grow and amortizing the per-subscriber cost; at small
 	// fan-out the window rounds to zero and every event flushes
@@ -752,24 +736,34 @@ const (
 	upgradeAfterCalm = 64
 )
 
+// WireEncoding names what a subscriber's queue carries.
+type WireEncoding uint8
+
+const (
+	// WireNone delivers decoded events one queue item each: in-process
+	// consumers reading Events().
+	WireNone WireEncoding = iota
+	// WireNDJSON delivers group-commit carriers of pre-encoded NDJSON
+	// lines.
+	WireNDJSON
+	// WireBinary delivers group-commit carriers of CRC-framed binary
+	// event frames.
+	WireBinary
+)
+
 // SubscribeOptions configures a subscriber attach.
 type SubscribeOptions struct {
 	// Buffer bounds the delivery queue; <= 0 takes the registry default.
 	Buffer int
-	// Binary subscribes to the CRC-framed binary event encoding: the
-	// broadcast path pre-marshals binary frames (exactly once per event)
-	// for this subscriber's stream writer to share.
-	Binary bool
-	// Batched opts into group-commit delivery: instead of one queue item
-	// per event, the session's emit flusher coalesces events into
-	// batches, encodes each batch exactly once per encoding and delivers
-	// one opaque carrier per batch (shared immutable bytes, one channel
-	// operation per subscriber per batch). The wire bytes are identical;
-	// only the queue framing changes. Strictly for stream writers that
-	// forward pre-encoded bytes (the HTTP stream handler): carriers have
-	// no decoded fields, so in-process consumers reading Events() must
-	// leave this unset.
-	Batched bool
+	// Wire selects the queue's encoding. With an encoding, the session's
+	// emit flusher encodes each batch of events exactly once per
+	// (tier, encoding) and delivers one opaque carrier per batch (shared
+	// immutable bytes, one channel operation per subscriber per batch):
+	// for stream writers that forward pre-encoded bytes (the HTTP stream
+	// handler). Carriers have no decoded fields, so in-process consumers
+	// reading Events() leave this WireNone and get the same batches'
+	// events one by one.
+	Wire WireEncoding
 	// Tier selects the trace tier (T0 decimated / T1 full / T2
 	// diagnostic); the zero value is T1, today's stream exactly. Slow
 	// subscribers are adaptively stepped below the negotiated tier and
@@ -787,71 +781,78 @@ func (s *Session) Subscribe(buffer int) (*Subscriber, error) {
 }
 
 // SubscribeOpts is Subscribe with the full option set (queue bound,
-// wire encoding).
+// wire encoding, tier).
 func (s *Session) SubscribeOpts(o SubscribeOptions) (*Subscriber, error) {
-	buffer := o.Buffer
-	if buffer <= 0 {
-		buffer = s.reg.cfg.SubscriberQueue
-	}
+	sub := s.newSubscriber(o)
 	s.emitMu.Lock()
 	defer s.emitMu.Unlock()
-	if s.subsClosed || s.closing {
-		return nil, ErrSessionClosed
-	}
-	if len(s.subs) >= s.reg.cfg.MaxSubscribers {
-		s.timeline.Record(obs.EventShed, "subscriber limit "+strconv.Itoa(s.reg.cfg.MaxSubscribers))
-		return nil, ErrSubscriberLimit
-	}
-	tier := o.Tier.level()
-	sub := &Subscriber{
-		sess: s, ch: make(chan Event, buffer),
-		binary: o.Binary, batched: o.Batched,
-		tier: tier, maxTier: tier,
+	if err := s.admitLocked(false); err != nil {
+		return nil, err
 	}
 	s.addSubLocked(sub)
 	s.touch()
 	return sub, nil
 }
 
-// addSubLocked / removeSubLocked keep the subscriber table and the
-// per-delivery-mode counts in one place. Requires emitMu.
+// newSubscriber builds an unattached subscriber from its options.
+func (s *Session) newSubscriber(o SubscribeOptions) *Subscriber {
+	buffer := o.Buffer
+	if buffer <= 0 {
+		buffer = s.reg.cfg.SubscriberQueue
+	}
+	tier := o.Tier.level()
+	return &Subscriber{
+		sess: s, ch: make(chan Event, buffer), wire: o.Wire,
+		tier: tier, maxTier: tier,
+	}
+}
+
+// admitLocked is the one subscriber admission check, shared by live and
+// catch-up attaches: a session that can no longer take subscribers
+// refuses (a recovered one only once its record stops being
+// attachable), and an attach past the per-session cap is shed and
+// recorded on the session timeline. Requires emitMu.
+func (s *Session) admitLocked(recovered bool) error {
+	closed := s.subsClosed || s.closing
+	if recovered {
+		closed = !s.replayAttachable
+	}
+	if closed {
+		return ErrSessionClosed
+	}
+	if len(s.subs) >= s.reg.cfg.MaxSubscribers {
+		s.timeline.Record(obs.EventShed, "subscriber limit "+strconv.Itoa(s.reg.cfg.MaxSubscribers))
+		return ErrSubscriberLimit
+	}
+	return nil
+}
+
+// addSubLocked / removeSubLocked keep the subscriber table, the flush
+// pace and the gauges in one place. Requires emitMu.
 func (s *Session) addSubLocked(sub *Subscriber) {
-	if sub.batched {
-		// Anything already buffered for group commit predates this attach
-		// — and, for a pump-mediated catch-up attach, is covered by the
-		// WAL head the subscriber will replay from. Flush it to the
-		// existing subscribers first, so the newcomer's stream starts
-		// strictly at its attach point (no pre-attach events, no
-		// replay duplicates).
-		s.flushEmitLocked()
-	}
+	// Anything already buffered for group commit predates this attach —
+	// and, for a pump-mediated catch-up attach, is covered by the WAL
+	// head the subscriber will replay from. Flush it to the existing
+	// subscribers first, so the newcomer's stream starts strictly at its
+	// attach point (no pre-attach events, no replay duplicates).
+	s.flushEmitLocked()
 	s.subs[sub] = struct{}{}
-	if sub.batched {
-		s.batchedSubs++
-		s.updateEmitPaceLocked()
-	} else {
-		s.plainSubs++
-	}
+	s.updateEmitPaceLocked()
 	s.reg.metrics.SubscribersActive.Add(1)
 	s.reg.metrics.TierSubscribers[sub.tier].Add(1)
 }
 
 func (s *Session) removeSubLocked(sub *Subscriber) {
 	delete(s.subs, sub)
-	if sub.batched {
-		s.batchedSubs--
-		s.updateEmitPaceLocked()
-	} else {
-		s.plainSubs--
-	}
+	s.updateEmitPaceLocked()
 	s.reg.metrics.SubscribersActive.Add(-1)
 	s.reg.metrics.TierSubscribers[sub.tier].Add(-1)
 }
 
 // updateEmitPaceLocked re-derives the flusher's accumulation window
-// from the batched-subscriber count. Requires emitMu.
+// from the subscriber count. Requires emitMu.
 func (s *Session) updateEmitPaceLocked() {
-	pace := time.Duration(s.batchedSubs) * emitPacePerSub
+	pace := time.Duration(len(s.subs)) * emitPacePerSub
 	if pace > emitPaceMax {
 		pace = emitPaceMax
 	}
@@ -1057,7 +1058,7 @@ func (s *Session) Close() {
 		<-s.pumpDone
 		// The pump's final "end" event is in the group-commit buffer;
 		// retire the flusher (it drains on the way out) before sweeping
-		// the subscriber table, so batched subscribers get everything —
+		// the subscriber table, so subscribers get everything —
 		// end included — ahead of their queues closing.
 		if s.emitQuit != nil {
 			close(s.emitQuit)
@@ -1520,83 +1521,25 @@ func (s *Session) broadcast(ev Event) {
 	s.broadcastLocked(ev)
 }
 
-// broadcastLocked delivers an event to every subscriber queue with the
-// slow-consumer policy: when a queue is full, the oldest event is dropped
-// to make room — freshness beats completeness for a live cursor — and the
-// loss is surfaced to the consumer as a "drop" event once space allows.
-// Each encoding with at least one attached subscriber is marshaled
-// exactly once here; subscribers' stream writers fan out the shared
-// immutable bytes instead of re-marshaling per subscriber. Requires
-// emitMu.
+// broadcastLocked queues an event for every subscriber: it joins the
+// group-commit buffer, and the emit flusher delivers it with the rest of
+// its batch (see flushEmitLocked). That turns O(events × subscribers)
+// channel operations into O(batches × subscribers). The emitting
+// goroutine only flushes inline when the backlog tops emitBatchMax.
+// Requires emitMu.
 func (s *Session) broadcastLocked(ev Event) {
-	ev.enq = obs.Now()
-	// Batched subscribers are group-committed: the event joins the emit
-	// buffer for the flusher to batch-encode and deliver as one carrier
-	// per batch, turning O(events × subscribers) channel operations into
-	// O(batches × subscribers). The emitting goroutine only flushes
-	// inline when the backlog tops emitBatchMax.
-	if s.batchedSubs > 0 {
-		s.emitBuf = append(s.emitBuf, ev)
-		if len(s.emitBuf) >= emitBatchMax {
-			s.flushEmitLocked()
-		} else {
-			select {
-			case s.emitKick <- struct{}{}:
-			default:
-			}
-		}
-	}
-	if s.plainSubs == 0 {
+	if len(s.subs) == 0 {
 		return
 	}
-	// Retune each plain subscriber's tier against its backlog, then scan
-	// for the encodings some subscriber at an including tier wants. An
-	// event's bytes are tier-independent — tiers differ only in which
-	// events they include — so one marshal per encoding still serves
-	// every tier.
-	var needJSON, needBinary bool
-	for sub := range s.subs {
-		if sub.batched {
-			continue
-		}
-		if !sub.catchingUp {
-			s.maybeRetuneTierLocked(sub)
-		}
-		if sub.tier < ev.minTier {
-			continue
-		}
-		if sub.binary {
-			needBinary = true
-		} else {
-			needJSON = true
-		}
+	ev.enq = obs.Now()
+	s.emitBuf = append(s.emitBuf, ev)
+	if len(s.emitBuf) >= emitBatchMax {
+		s.flushEmitLocked()
+		return
 	}
-	if needJSON || needBinary {
-		w := &eventWire{}
-		if needJSON {
-			// json.Marshal plus the trailing newline is byte-identical to
-			// what json.Encoder.Encode writes, so NDJSON consumers cannot
-			// tell shared bytes from a per-subscriber encode. A marshal
-			// failure (impossible for Event's field types) leaves the
-			// writer's marshal-locally fallback in charge.
-			if b, err := json.Marshal(&ev); err == nil {
-				w.ndjson = append(b, '\n')
-			}
-		}
-		if needBinary {
-			w.binary = appendEventFrame(nil, &ev)
-		}
-		ev.wire = w
-	}
-	for sub := range s.subs {
-		if sub.batched || sub.tier < ev.minTier {
-			continue
-		}
-		if sub.catchingUp {
-			s.parkLocked(sub, ev)
-			continue
-		}
-		s.sendLocked(sub, ev)
+	select {
+	case s.emitKick <- struct{}{}:
+	default:
 	}
 }
 
@@ -1605,8 +1548,8 @@ func (s *Session) broadcastLocked(ev Event) {
 // buffer grow while the flusher is behind.
 const emitBatchMax = 1024
 
-// Fan-out pacing: each flush bills every batched subscriber roughly a
-// goroutine wake plus a socket write, so the flusher's accumulation
+// Fan-out pacing: each flush bills every subscriber roughly a
+// goroutine wake (plus a socket write on the wire), so the flusher's accumulation
 // window scales with the subscriber count (emitPacePerSub each), capped
 // at emitPaceMax so a wide fan-out still sees fresh data, and windows
 // under emitPaceMin are skipped entirely — small fan-outs keep today's
@@ -1624,7 +1567,7 @@ const (
 const t0DecimateEvery = 8
 
 // emitFlusher is the session's group-commit goroutine: kicked by
-// broadcastLocked whenever events are buffered for batched subscribers,
+// broadcastLocked whenever events are buffered for subscribers,
 // it flushes the buffer as one batch. While it encodes and delivers a
 // batch, later events pile into the next one — batch size adapts to
 // load, and an idle stream still flushes every event immediately.
@@ -1660,17 +1603,17 @@ func (s *Session) emitFlusher() {
 	}
 }
 
-// flushEmitLocked group-commits the buffered events per tier: each
-// drained batch is marshaled at most once per (tier, encoding) some
-// batched subscriber is actually served at — unsubscribed tiers cost
-// nothing — with each event's bytes encoded once per encoding and shared
-// across every tier run that includes it (tiers differ only in which
-// events they include, never in an event's bytes, so T1's byte-run stays
-// byte-identical to the pre-tier stream). Every batched subscriber gets
-// one carrier pointing at its tier's shared immutable run. Requires
-// emitMu; the tier retune, scan, encode and delivery share the one
-// critical section, so a delivered carrier always matches the tier and
-// encoding of every subscriber it reaches.
+// flushEmitLocked group-commits the buffered events per tier, the one
+// delivery path for every subscriber. Each drained batch is marshaled at
+// most once per (tier, encoding) some subscriber is actually served at
+// (see encodeCarriers) and every subscriber with a wire encoding gets
+// one carrier pointing at its tier's shared immutable run; in-process
+// subscribers get the batch's events for their tier one by one, decoded
+// and unencoded. Both take the same drop-oldest queue (sendLocked) or
+// catch-up parking (parkLocked). Requires emitMu; the tier retune, scan,
+// encode and delivery share the one critical section, so a delivered
+// carrier always matches the tier and encoding of every subscriber it
+// reaches.
 func (s *Session) flushEmitLocked() {
 	batch := s.emitBuf
 	if len(batch) == 0 {
@@ -1682,40 +1625,59 @@ func (s *Session) flushEmitLocked() {
 	// subscriber will actually be served at, then collect per-tier
 	// encoding demand.
 	var needJSON, needBinary [3]bool
-	any := false
 	for sub := range s.subs {
-		if !sub.batched {
-			continue
-		}
 		if !sub.catchingUp {
 			s.maybeRetuneTierLocked(sub)
 		}
-		if sub.binary {
-			needBinary[sub.tier] = true
-		} else {
+		switch sub.wire {
+		case WireNDJSON:
 			needJSON[sub.tier] = true
+		case WireBinary:
+			needBinary[sub.tier] = true
 		}
-		any = true
 	}
-	if !any {
-		return // every batched subscriber detached; nothing owes these bytes
+	carriers := encodeCarriers(batch, needJSON, needBinary)
+	for sub := range s.subs {
+		if sub.wire != WireNone {
+			if carriers[sub.tier].batchLen > 0 {
+				s.deliverLocked(sub, carriers[sub.tier])
+			}
+			continue
+		}
+		for i := range batch {
+			if sub.tier >= batch[i].minTier {
+				s.deliverLocked(sub, batch[i])
+			}
+		}
 	}
-	var wires [3]*eventWire
-	for t := range wires {
+}
+
+// encodeCarriers encodes a batch once per (tier, encoding) in demand,
+// each event's bytes encoded once per encoding and shared across every
+// tier run that includes it (tiers differ only in which events they
+// include, never in an event's bytes, so T1's byte run stays
+// byte-identical to the pre-tier stream). It returns one carrier per
+// populated tier; a tier no event in the batch reaches (e.g. T0 over a
+// run of undecimated points) or nobody needs has none (batchLen 0). A
+// carrier's enqueue stamp is the batch's OLDEST event, so the
+// write-stage histogram sees the worst queue-to-wire latency in the
+// batch, not the friendliest.
+func encodeCarriers(batch []Event, needJSON, needBinary [3]bool) [3]Event {
+	var carriers [3]Event
+	for t := range carriers {
 		if needJSON[t] || needBinary[t] {
-			wires[t] = &eventWire{}
+			carriers[t] = Event{enq: batch[0].enq, wire: &eventWire{}}
 		}
 	}
-	var counts [3]int
 	for i := range batch {
 		ev := &batch[i]
 		var js, bin []byte
-		for t := int(ev.minTier); t < len(wires); t++ {
-			w := wires[t]
-			if w == nil {
+		for t := int(ev.minTier); t < len(carriers); t++ {
+			c := &carriers[t]
+			if c.wire == nil {
 				continue
 			}
-			counts[t]++
+			c.batchLen++
 			if needJSON[t] {
 				if js == nil {
 					if b, err := json.Marshal(ev); err == nil {
@@ -1724,41 +1686,27 @@ func (s *Session) flushEmitLocked() {
 						js = []byte{} // unmarshalable (impossible): skip, don't retry
 					}
 				}
-				w.ndjson = append(w.ndjson, js...)
+				c.wire.ndjson = append(c.wire.ndjson, js...)
 			}
 			if needBinary[t] {
 				if bin == nil {
 					bin = appendEventFrame(nil, ev)
 				}
-				w.binary = append(w.binary, bin...)
+				c.wire.binary = append(c.wire.binary, bin...)
 			}
 		}
 	}
-	// One carrier per populated tier; its enqueue stamp is the batch's
-	// OLDEST event, so the write-stage histogram sees the worst
-	// queue-to-wire latency in the batch, not the friendliest. A tier no
-	// event in this batch reaches (e.g. T0 over a run of undecimated
-	// points) delivers nothing.
-	var carriers [3]Event
-	for t := range carriers {
-		if wires[t] != nil && counts[t] > 0 {
-			carriers[t] = Event{enq: batch[0].enq, batchLen: counts[t], wire: wires[t]}
-		}
+	return carriers
+}
+
+// deliverLocked hands one live event or carrier to a subscriber: parked
+// while it is still catching up, queued otherwise. Requires emitMu.
+func (s *Session) deliverLocked(sub *Subscriber, ev Event) {
+	if sub.catchingUp {
+		s.parkLocked(sub, ev)
+		return
 	}
-	for sub := range s.subs {
-		if !sub.batched {
-			continue
-		}
-		carrier := carriers[sub.tier]
-		if carrier.batchLen == 0 {
-			continue
-		}
-		if sub.catchingUp {
-			s.parkLocked(sub, carrier)
-			continue
-		}
-		s.sendLocked(sub, carrier)
-	}
+	s.sendLocked(sub, ev)
 }
 
 // parkLocked holds a live event (or carrier) for a subscriber still
@@ -1778,7 +1726,10 @@ func (s *Session) parkLocked(sub *Subscriber, ev Event) {
 }
 
 // sendLocked delivers one event to one subscriber queue with the
-// drop-oldest policy and loss notices. Requires emitMu.
+// slow-consumer policy: when the queue is full, the oldest item is
+// dropped to make room — freshness beats completeness for a live cursor
+// — and the loss is surfaced to the consumer as a "drop" event once
+// space allows. Requires emitMu.
 func (s *Session) sendLocked(sub *Subscriber, ev Event) {
 	if sub.pendingDrops > 0 {
 		notice := Event{Type: "drop", Dropped: sub.pendingDrops}

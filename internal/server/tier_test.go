@@ -43,7 +43,7 @@ func tierServer(t *testing.T) *Server {
 
 // feedOverIngest replays the scenario into a session over the ingest
 // gateway and drains it, so every derived event has reached subscribers.
-func feedOverIngest(t *testing.T, ctx context.Context, c *Client, id string) {
+func feedOverIngest(t *testing.T, ctx context.Context, srv *Server, c *Client, id string) {
 	t.Helper()
 	run, _ := scenario(t)
 	rs, err := c.DialIngest(id, readerwire.Hello{
@@ -53,7 +53,8 @@ func feedOverIngest(t *testing.T, ctx context.Context, c *Client, id string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, rep := range realtime.MergeStreams(run.ReportsRF...) {
+	merged := realtime.MergeStreams(run.ReportsRF...)
+	for _, rep := range merged {
 		if err := rs.Send(rep); err != nil {
 			t.Fatal(err)
 		}
@@ -64,6 +65,7 @@ func feedOverIngest(t *testing.T, ctx context.Context, c *Client, id string) {
 	if err := rs.Close(); err != nil {
 		t.Fatal(err)
 	}
+	awaitIngested(t, srv, id, len(merged))
 	if err := c.DrainSession(ctx, id); err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +117,7 @@ func TestTierStreamSubsets(t *testing.T) {
 		wg.Add(1)
 		go collectEvents(events, out, &wg)
 	}
-	feedOverIngest(t, ctx, clients["1"], id)
+	feedOverIngest(t, ctx, srv, clients["1"], id)
 	if err := clients["1"].DeleteSession(ctx, id); err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +253,7 @@ func TestTierT1ByteIdentity(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	feedOverIngest(t, ctx, c, id)
+	feedOverIngest(t, ctx, srv, c, id)
 	if err := c.DeleteSession(ctx, id); err != nil {
 		t.Fatal(err)
 	}
@@ -358,16 +360,25 @@ func TestTierForcedDowngrade(t *testing.T) {
 			X: float64(i), Z: -float64(i), minTier: minTier,
 		}
 	}
+	// broadcast commits each event as its own group-commit batch, so
+	// every event gets its own delivery and tier retune, deterministically
+	// (the flusher goroutine then finds the buffer empty).
+	broadcast := func(ev Event) {
+		sess.emitMu.Lock()
+		defer sess.emitMu.Unlock()
+		sess.broadcastLocked(ev)
+		sess.flushEmitLocked()
+	}
 	// Fill to the downgrade threshold without consuming: the retune at
 	// each delivery sees fill (i-1)/16, so broadcasts 13 and 14 cross
 	// 0.75 twice — 2→1 then 1→0 — and queue exactly: 12 points, a tier
 	// event, 1 point, a tier event, 1 T0 point (the T1-only point after
 	// the second downgrade is filtered, not dropped).
 	for i := 1; i <= 13; i++ {
-		sess.broadcast(point(i, 1))
+		broadcast(point(i, 1))
 	}
-	sess.broadcast(point(14, 1))
-	sess.broadcast(point(15, 0))
+	broadcast(point(14, 1))
+	broadcast(point(15, 0))
 
 	var got []Event
 drain:
@@ -432,7 +443,7 @@ drain:
 	// delivery, upgradeAfterCalm calm deliveries earn one step.
 	var upgrades []Event
 	for i := 0; i < 3*upgradeAfterCalm+6; i++ {
-		sess.broadcast(point(100+i, 0))
+		broadcast(point(100+i, 0))
 		for {
 			ev, ok := <-sub.Events()
 			if !ok {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"rfidraw/internal/engine"
+	"rfidraw/internal/obs"
 	"rfidraw/internal/realtime"
 	"rfidraw/internal/vote"
 	"rfidraw/internal/wal"
@@ -73,6 +74,54 @@ func walRegistry(t testing.TB, dir string) *Registry {
 	}
 	t.Cleanup(reg.Close)
 	return reg
+}
+
+// TestCatchupAttachShedRecorded: a ?from catch-up attach refused at the
+// subscriber cap is shed exactly like a live attach: ErrSubscriberLimit
+// and a shed entry on the session timeline.
+func TestCatchupAttachShedRecorded(t *testing.T) {
+	run, _ := scenario(t)
+	store, err := wal.Open(t.TempDir(), wal.Options{SyncEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := testRegistry(t, RegistryConfig{
+		NewEngine:      recordingFactory(t),
+		NewReplayer:    testReplayerFactory(t),
+		WAL:            store,
+		NoRecognize:    true,
+		MaxSubscribers: 1,
+	})
+	sess, err := reg.Open(SessionSpec{ID: "shed-catchup", Sweep: perTagSweep(run)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sheds := func() int {
+		n := 0
+		for _, ev := range sess.Events() {
+			if ev.Type == obs.EventShed {
+				n++
+			}
+		}
+		return n
+	}
+	sub, err := sess.Subscribe(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	if _, err := sess.SubscribeFrom(0, 0); err != ErrSubscriberLimit {
+		t.Fatalf("catch-up attach past the cap: %v, want ErrSubscriberLimit", err)
+	}
+	if n := sheds(); n != 1 {
+		t.Fatalf("timeline holds %d shed events after a refused catch-up attach, want 1", n)
+	}
+	if _, err := sess.Subscribe(0); err != ErrSubscriberLimit {
+		t.Fatalf("live attach past the cap: %v, want ErrSubscriberLimit", err)
+	}
+	if n := sheds(); n != 2 {
+		t.Fatalf("timeline holds %d shed events after a refused live attach, want 2", n)
+	}
 }
 
 // copyTree snapshots a directory — the crash image a SIGKILL would leave.

@@ -465,13 +465,6 @@ func (s *System) OpenSession(spec SessionSpec) (*Session, error) {
 	return &Session{inner: sess}, nil
 }
 
-// OpenSessionID creates a session by ID and sweep alone.
-//
-// Deprecated: use OpenSession with a SessionSpec.
-func (s *System) OpenSessionID(id string, sweep time.Duration) (*Session, error) {
-	return s.OpenSession(SessionSpec{ID: id, Sweep: sweep})
-}
-
 // ID returns the session's registry identity.
 func (s *Session) ID() string { return s.inner.ID }
 
