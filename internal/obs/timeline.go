@@ -26,6 +26,7 @@ const (
 	EventShed         = "shed"
 	EventLeaderSwitch = "leader_switch"
 	EventTierChange   = "tier_change"
+	EventEngineFailed = "engine_failed"
 )
 
 // TimelineCapacity bounds each session's event ring.

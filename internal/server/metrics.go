@@ -21,6 +21,9 @@ type Metrics struct {
 	IngestConns       atomic.Int64
 	Reports           atomic.Int64
 	ReportsOutOfOrder atomic.Int64
+	// ReportsDropped counts reports a session dropped because it had no
+	// engine: no cadence announced yet, or the engine build failed.
+	ReportsDropped atomic.Int64
 	// ReorderLate counts reports that arrived after their reorder-window
 	// slot was already released: the session resequencer delivered them
 	// to the engine behind later-stamped reports (a reader's clock skew
@@ -98,6 +101,7 @@ var counterDefs = []counterDef{
 	{"rfidrawd_ingest_connections_total", "Reader connections accepted by the ingest gateway.", "counter", func(m *Metrics) int64 { return m.IngestConns.Load() }},
 	{"rfidrawd_reports_total", "Phase reports ingested.", "counter", func(m *Metrics) int64 { return m.Reports.Load() }},
 	{"rfidrawd_reports_out_of_order_total", "Reports dropped for regressing their reader's clock.", "counter", func(m *Metrics) int64 { return m.ReportsOutOfOrder.Load() }},
+	{"rfidrawd_reports_dropped_total", "Reports dropped because their session had no engine (no cadence announced, or the engine build failed).", "counter", func(m *Metrics) int64 { return m.ReportsDropped.Load() }},
 	{"rfidrawd_reorder_late_total", "Reports delivered to the engine after their reorder-window slot was released (reader clock skew beyond the window).", "counter", func(m *Metrics) int64 { return m.ReorderLate.Load() }},
 	{"rfidrawd_resync_bytes_total", "Bytes skipped re-locking onto damaged reader streams.", "counter", func(m *Metrics) int64 { return m.ResyncBytes.Load() }},
 	{"rfidrawd_points_total", "Trace points emitted to sessions.", "counter", func(m *Metrics) int64 { return m.Points.Load() }},

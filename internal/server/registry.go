@@ -1,7 +1,6 @@
 package server
 
 import (
-	"container/heap"
 	"crypto/rand"
 	"encoding/hex"
 	"errors"
@@ -393,19 +392,12 @@ type Registry struct {
 
 	mu       sync.Mutex
 	sessions map[string]*Session
-	// live counts non-recovered sessions for admission control:
-	// recovered sessions hold no engine or goroutines, so they do not
-	// occupy MaxSessions slots (they do reserve their IDs).
+	// live counts pipelined (non-recovered) entries for admission
+	// control: recovered sessions hold no engine or goroutines, so they
+	// do not occupy MaxSessions slots (they do reserve their IDs). Only
+	// setLocked changes it.
 	live   int
 	closed bool
-	// idleQ and retainedQ index sessions by deadline so expiry pops only
-	// what is due instead of scanning the whole table per tick: idleQ
-	// orders live sessions by their last-activity snapshot, retainedQ
-	// orders recovered sessions for retention expiry. Entries are lazy —
-	// a touched session is re-queued at its fresher stamp when popped,
-	// never updated in place.
-	idleQ     deadlineHeap
-	retainedQ deadlineHeap
 
 	// scoreMu guards the cached congestion score (see cost.go).
 	scoreMu sync.Mutex
@@ -480,11 +472,8 @@ func (r *Registry) recover() error {
 			r.metrics.WALTornBytes.Add(stats.TornBytes)
 			r.logger.Warn("wal recovery: dropped torn bytes", "session", id, "bytes", stats.TornBytes)
 		}
-		s := newRecoveredSession(r, meta, stats)
-		r.sessions[id] = s
-		r.queueRetained(s)
+		r.setLocked(id, newRecoveredSession(r, sessionRecord{meta: meta, head: stats.LastSeq, reports: int64(stats.Reports)}))
 		r.metrics.SessionsRecovered.Add(1)
-		r.metrics.SessionsRetained.Add(1)
 		r.logger.Info("wal recovery: session rehydrated",
 			"session", id, "reports", stats.Reports, "clean", stats.CleanClose)
 	}
@@ -558,13 +547,35 @@ func (r *Registry) Open(spec SessionSpec) (*Session, error) {
 		return nil, err
 	}
 	s := newSession(r, spec, resumeState{})
-	r.sessions[spec.ID] = s
-	r.live++
-	r.queueIdle(s)
+	r.setLocked(spec.ID, s)
 	r.mu.Unlock()
 	r.metrics.SessionsCreated.Add(1)
-	r.metrics.SessionsActive.Add(1)
 	return s, nil
+}
+
+// setLocked points the table entry for id at s (nil deletes it). It is
+// the one place r.sessions changes, so the live count and the
+// sessions_active / sessions_retained gauges move with the table: live
+// entries count in the first two, recovered ones in the third. Caller
+// holds r.mu.
+func (r *Registry) setLocked(id string, s *Session) {
+	if old, ok := r.sessions[id]; ok {
+		r.countLocked(old, -1)
+		delete(r.sessions, id)
+	}
+	if s != nil {
+		r.sessions[id] = s
+		r.countLocked(s, 1)
+	}
+}
+
+func (r *Registry) countLocked(s *Session, d int) {
+	if !s.pipelined() {
+		r.metrics.SessionsRetained.Add(int64(d))
+		return
+	}
+	r.live += d
+	r.metrics.SessionsActive.Add(int64(d))
 }
 
 // admitLocked runs the lock-scope admission checks under r.mu.
@@ -639,34 +650,21 @@ func (r *Registry) Len() int {
 func (r *Registry) Remove(id string) bool {
 	r.mu.Lock()
 	s, ok := r.sessions[id]
-	if ok && s.Closing() {
-		// Idle expiry (or a park) claimed this session and owns its
-		// teardown (it is still in the table only because it will be
-		// parked recovered). Stealing it here would double-count the
-		// accounting and yank the record out from under enterRecovered;
-		// report not-found — a later DELETE finds it in the recovered
-		// state and wins.
-		r.mu.Unlock()
-		return false
+	if ok && s.lifecycle() == stateDraining {
+		// Idle expiry or a park claimed this session and owns its
+		// teardown (it is still in the table only until its recovered
+		// successor replaces it). Report not-found: a later DELETE finds
+		// the successor and wins.
+		ok = false
 	}
 	if ok {
-		delete(r.sessions, id)
-		if !s.Recovered() {
-			r.live--
-		} else {
-			r.metrics.SessionsRetained.Add(-1)
-		}
+		r.setLocked(id, nil)
 	}
 	r.mu.Unlock()
 	if !ok {
 		return false
 	}
-	if s.Recovered() {
-		s.closeRecovered()
-	} else {
-		s.Close()
-		r.metrics.SessionsActive.Add(-1)
-	}
+	s.Close()
 	if r.cfg.WAL != nil {
 		if err := r.cfg.WAL.Remove(id); err != nil {
 			r.logger.Error("wal remove failed", "session", id, "err", err)
@@ -685,7 +683,7 @@ func (r *Registry) RefreshCongestion(now time.Time) NodeScore {
 	r.mu.Lock()
 	live := make([]*Session, 0, r.live)
 	for _, s := range r.sessions {
-		if !s.Recovered() && !s.Closing() {
+		if s.lifecycle() == stateLive {
 			live = append(live, s)
 		}
 	}
@@ -760,7 +758,7 @@ func (r *Registry) ParkUnderPressure(now time.Time) []string {
 	r.mu.Lock()
 	cands := make([]cand, 0, r.live)
 	for _, s := range r.sessions {
-		if !s.Recovered() && !s.Closing() && s.WALSeq() > 0 {
+		if s.lifecycle() == stateLive && s.WALSeq() > 0 {
 			cands = append(cands, cand{s: s, cost: s.Cost().Cost})
 		}
 	}
@@ -788,11 +786,11 @@ func (r *Registry) ParkUnderPressure(now time.Time) []string {
 	return parked
 }
 
-// Park parks one live durable session on operator request: the engine
-// and goroutines are reclaimed, readers and subscribers are
-// disconnected, and the session stays in the registry in the recovered
-// state, serveable (retrace, catch-up) and resumable. Parking an
-// already-parked session is a no-op.
+// Park parks one live durable session on operator request: the session
+// is closed (engine and goroutines reclaimed, readers and subscribers
+// disconnected) and a recovered entry replaces it under the same ID,
+// serveable (retrace, catch-up) and resumable. Parking an already-parked
+// session is a no-op.
 func (r *Registry) Park(id string) error {
 	r.mu.Lock()
 	s, ok := r.sessions[id]
@@ -812,28 +810,32 @@ func (r *Registry) parkSession(s *Session, reason string) error {
 		r.mu.Unlock()
 		return ErrUnknownSession
 	}
-	if !s.claimPark() {
-		recovered := s.Recovered()
-		r.mu.Unlock()
-		if recovered {
+	claimed := s.transition(stateDraining, nil)
+	r.mu.Unlock()
+	if !claimed {
+		if s.Recovered() {
 			return nil // already parked: the verb is idempotent
 		}
 		return ErrNotLive
 	}
-	r.live--
-	r.mu.Unlock()
 	s.timeline.Record(obs.EventPark, reason)
-	s.Close()
-	r.metrics.SessionsActive.Add(-1)
 	r.metrics.SessionsParked.Add(1)
-	s.enterRecovered()
-	r.metrics.SessionsRetained.Add(1)
+	r.park(s)
+	return nil
+}
+
+// park closes a claimed (draining) session and installs its recovered
+// successor under the same ID, built by the constructor startup
+// recovery uses, unless the entry changed meanwhile (registry close).
+// The closed session leaves the table, and with it its engine and inbox.
+func (r *Registry) park(s *Session) {
+	s.Close()
+	rec := newRecoveredSession(r, s.record())
 	r.mu.Lock()
 	if r.sessions[s.ID] == s {
-		r.queueRetained(s)
+		r.setLocked(s.ID, rec)
 	}
 	r.mu.Unlock()
-	return nil
 }
 
 // Resume brings a parked (recovered) session back live: a fresh session
@@ -880,134 +882,56 @@ func (r *Registry) Resume(id string) (*Session, error) {
 		WAL:      old.walPolicy,
 	}
 	s := newSession(r, spec, resumeState{from: old.WALSeq(), created: old.Created, timeline: old.timeline})
-	r.sessions[id] = s
-	r.live++
-	r.queueIdle(s)
+	r.setLocked(id, s)
 	r.mu.Unlock()
-	old.closeRecovered()
-	r.metrics.SessionsRetained.Add(-1)
+	old.Close()
 	r.metrics.SessionsResumed.Add(1)
-	r.metrics.SessionsActive.Add(1)
 	r.logger.Info("session resumed", "session", id, "from_seq", s.resumeFrom)
 	return s, nil
 }
 
-// deadlineEntry is one lazy heap entry: the session and the lastActive
-// stamp it was queued at. The session is re-examined when the stamp's
-// deadline passes; a fresher stamp re-queues it instead of expiring it.
-type deadlineEntry struct {
-	s    *Session
-	seen int64 // unix nanos
-}
-
-// deadlineHeap orders sessions by queued-at stamp, oldest first.
-type deadlineHeap []deadlineEntry
-
-func (h deadlineHeap) Len() int           { return len(h) }
-func (h deadlineHeap) Less(i, j int) bool { return h[i].seen < h[j].seen }
-func (h deadlineHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *deadlineHeap) Push(x any)        { *h = append(*h, x.(deadlineEntry)) }
-func (h *deadlineHeap) Pop() (popped any) {
-	old := *h
-	n := len(old)
-	popped = old[n-1]
-	*h = old[:n-1]
-	return
-}
-
-// queueIdle / queueRetained index a session for deadline-ordered
-// expiry. Caller holds r.mu.
-func (r *Registry) queueIdle(s *Session) {
-	heap.Push(&r.idleQ, deadlineEntry{s: s, seen: s.lastActive.Load()})
-}
-
-func (r *Registry) queueRetained(s *Session) {
-	heap.Push(&r.retainedQ, deadlineEntry{s: s, seen: s.lastActive.Load()})
-}
-
 // ExpireIdle closes sessions idle beyond the timeout (no ingest
-// activity, readers or subscribers), returning their IDs. The idle
-// index makes a quiet tick O(1) and a busy one O(k log n) for k due
-// sessions — no linear scan of the table. Expiry claims each session
-// atomically (Session.claimExpiry) so an attach racing the expiry
-// either keeps the session alive or is refused — never bound to a
-// session mid-teardown. WAL-backed sessions that recorded anything are
-// parked in the registry as "recovered" (the engine is reclaimed, the
-// durable record stays serveable); the rest are removed.
+// activity, readers or subscribers), returning their IDs. Expiry claims
+// each live entry atomically (live → draining under Session.expirable)
+// so an attach racing the expiry either keeps the session alive or is
+// refused, never bound to a session mid-teardown. WAL-backed sessions
+// that recorded anything are parked (see park); the rest are removed.
 func (r *Registry) ExpireIdle(now time.Time, idle time.Duration) []string {
-	// The retain decision is snapshotted once, under the registry lock,
-	// BEFORE the teardown: Session.Close appends the log's close record
-	// (bumping the head), so re-evaluating afterwards could flip an
-	// empty session from forget to retain after its table entry is gone.
+	// The retain decision is taken at the claim, BEFORE the teardown:
+	// Session.Close appends the log's close record (bumping the head), so
+	// re-evaluating afterwards could flip an empty session from forget to
+	// retain after its table entry is gone.
 	type claimed struct {
 		s      *Session
 		retain bool
 	}
 	var expired []claimed
-	var held []deadlineEntry
 	r.mu.Lock()
-	for r.idleQ.Len() > 0 {
-		top := r.idleQ[0]
-		if time.Unix(0, top.seen).Add(idle).After(now) {
-			break // nothing older is queued: the heap is deadline-ordered
-		}
-		heap.Pop(&r.idleQ)
-		s := top.s
-		if cur, ok := r.sessions[s.ID]; !ok || cur != s {
-			continue // removed, or replaced by a resume: stale entry
-		}
-		if last := s.lastActive.Load(); last != top.seen {
-			// Touched since it was queued: re-arm at the fresher stamp.
-			heap.Push(&r.idleQ, deadlineEntry{s: s, seen: last})
+	for id, s := range r.sessions {
+		if !s.transition(stateDraining, s.expirable(now, idle)) {
 			continue
 		}
-		if s.claimExpiry(now, idle) {
-			expired = append(expired, claimed{s: s, retain: r.retainOnExpiry(s)})
-			continue
-		}
-		// The claim was refused: either the session is no longer live
-		// (closed, parked — drop the entry; retainedQ owns parked ones)
-		// or an attach holds it open with a stale activity stamp. Re-arm
-		// the latter at its current stamp so the NEXT call re-examines it
-		// — deferred past the loop, or it would pop straight back out.
-		if s.State() == "live" {
-			held = append(held, deadlineEntry{s: s, seen: s.lastActive.Load()})
-		}
-	}
-	for _, e := range held {
-		heap.Push(&r.idleQ, e)
-	}
-	// Claimed sessions that will not be retained leave the table now;
-	// retained ones keep their entry and flip to recovered after the
-	// teardown below.
-	for _, c := range expired {
+		c := claimed{s: s, retain: r.retainOnExpiry(s)}
 		if !c.retain {
-			delete(r.sessions, c.s.ID)
+			r.setLocked(id, nil)
 		}
-		r.live--
+		expired = append(expired, c)
 	}
 	r.mu.Unlock()
 	ids := make([]string, 0, len(expired))
 	for _, c := range expired {
-		if c.retain {
-			c.s.timeline.Record(obs.EventPark, "idle expiry")
-		}
-		c.s.Close()
-		r.metrics.SessionsActive.Add(-1)
 		r.metrics.SessionsExpired.Add(1)
 		if c.retain {
-			c.s.enterRecovered()
-			r.metrics.SessionsRetained.Add(1)
-			r.mu.Lock()
-			if r.sessions[c.s.ID] == c.s {
-				r.queueRetained(c.s)
-			}
-			r.mu.Unlock()
-		} else if r.cfg.WAL != nil {
-			// A forgotten expiry must not leave an orphan record for the
-			// next restart to resurrect.
-			if err := r.cfg.WAL.Remove(c.s.ID); err != nil {
-				r.logger.Error("wal remove failed", "session", c.s.ID, "err", err)
+			c.s.timeline.Record(obs.EventPark, "idle expiry")
+			r.park(c.s)
+		} else {
+			c.s.Close()
+			if r.cfg.WAL != nil {
+				// A forgotten expiry must not leave an orphan record for the
+				// next restart to resurrect.
+				if err := r.cfg.WAL.Remove(c.s.ID); err != nil {
+					r.logger.Error("wal remove failed", "session", c.s.ID, "err", err)
+				}
 			}
 		}
 		ids = append(ids, c.s.ID)
@@ -1017,39 +941,24 @@ func (r *Registry) ExpireIdle(now time.Time, idle time.Duration) []string {
 }
 
 // ExpireRetained forgets recovered sessions whose records have seen no
-// retrace or catch-up activity for longer than the retention deadline,
-// deleting their logs. retain <= 0 retains forever (the default).
+// retrace or catch-up activity for the retention deadline, deleting
+// their logs. retain <= 0 retains forever (the default).
 func (r *Registry) ExpireRetained(now time.Time, retain time.Duration) []string {
 	if retain <= 0 || r.cfg.WAL == nil {
 		return nil
 	}
 	var victims []*Session
 	r.mu.Lock()
-	for r.retainedQ.Len() > 0 {
-		top := r.retainedQ[0]
-		if time.Unix(0, top.seen).Add(retain).After(now) {
-			break
+	for id, s := range r.sessions {
+		if s.Recovered() && now.Sub(s.idleSince()) >= retain {
+			r.setLocked(id, nil)
+			victims = append(victims, s)
 		}
-		heap.Pop(&r.retainedQ)
-		s := top.s
-		if cur, ok := r.sessions[s.ID]; !ok || cur != s {
-			continue // removed or resumed: stale entry
-		}
-		if last := s.lastActive.Load(); last != top.seen {
-			heap.Push(&r.retainedQ, deadlineEntry{s: s, seen: last})
-			continue
-		}
-		if !s.Recovered() {
-			continue
-		}
-		delete(r.sessions, s.ID)
-		victims = append(victims, s)
 	}
 	r.mu.Unlock()
 	ids := make([]string, 0, len(victims))
 	for _, s := range victims {
-		s.closeRecovered()
-		r.metrics.SessionsRetained.Add(-1)
+		s.Close()
 		r.metrics.SessionsExpired.Add(1)
 		if err := r.cfg.WAL.Remove(s.ID); err != nil {
 			r.logger.Error("wal remove failed", "session", s.ID, "err", err)
@@ -1080,25 +989,11 @@ func (r *Registry) Close() {
 	sessions := make([]*Session, 0, len(r.sessions))
 	for id, s := range r.sessions {
 		sessions = append(sessions, s)
-		delete(r.sessions, id)
+		r.setLocked(id, nil)
 	}
-	r.live = 0
-	r.idleQ, r.retainedQ = nil, nil
 	r.mu.Unlock()
 	for _, s := range sessions {
-		if s.Recovered() {
-			s.closeRecovered()
-			r.metrics.SessionsRetained.Add(-1)
-			continue
-		}
-		if s.Closing() {
-			// A concurrent idle expiry owns this session's accounting;
-			// just make sure the teardown completes.
-			s.Close()
-			continue
-		}
 		s.Close()
-		r.metrics.SessionsActive.Add(-1)
 	}
 }
 

@@ -46,9 +46,9 @@ func (s *Session) SubscribeFromOpts(from uint64, o SubscribeOptions) (*Subscribe
 	sub := s.newSubscriber(o)
 	sub.catchingUp = true
 	sub.cancel = make(chan struct{})
-	recovered := s.Recovered()
 	s.emitMu.Lock()
-	err := s.admitLocked(recovered)
+	recovered := s.state == stateRecovered
+	err := s.admitLocked(true)
 	if err == nil && recovered {
 		s.addSubLocked(sub)
 	}
@@ -86,48 +86,55 @@ func (s *Session) SubscribeFromOpts(from uint64, o SubscribeOptions) (*Subscribe
 // the WAL through a fresh pipeline up to head (0 = the whole log),
 // delivers the derived points with seq ≥ from, then splices the
 // subscriber onto the live stream (or ends it, for recovered sessions).
-// It is the sole closer of sub.ch.
+// It is the sole closer of sub.ch, and every stream it ends, ends with
+// "end" unless the consumer itself detached.
 func (s *Session) runCatchup(sub *Subscriber, from, head uint64, recovered bool) {
-	err := s.feedCatchup(sub, from, head)
+	err := s.feedCatchup(sub, from, head, recovered)
 	if err != nil {
 		s.logger.Warn("catch-up replay failed", "err", err)
 	}
-	s.emitMu.Lock()
-	defer s.emitMu.Unlock()
-	if _, in := s.subs[sub]; !in {
-		// Detached (or session closed) mid-replay: the accounting is
-		// done, only the channel is ours to close.
-		close(sub.ch)
-		return
-	}
-	if err != nil || recovered {
-		// A recovered session has no live stream to splice onto; a
-		// failed replay must not silently splice over a gap. Both end
-		// the stream.
-		s.removeSubLocked(sub)
-		sub.catchingUp = false
+	ended := false
+	if err == nil && recovered {
+		// A recovered session has no live stream to splice onto: "end"
+		// follows the replay, paced by the consumer like the replay.
 		select {
 		case sub.ch <- Event{Type: "end"}:
-		default:
+			ended = true
+		case <-sub.cancel:
 		}
-		close(sub.ch)
+	}
+	s.emitMu.Lock()
+	defer s.emitMu.Unlock()
+	_, attached := s.subs[sub]
+	if attached && err == nil && !recovered {
+		// Splice: deliver the live events parked during the replay, then
+		// hand the queue over to the broadcast path. Everything parked
+		// derives from records past the snapshotted head, so the stream
+		// is gapless and duplicate-free across the boundary.
+		sub.catchingUp = false
+		for _, ev := range sub.pending {
+			s.sendLocked(sub, ev)
+		}
+		sub.pending = nil
 		return
 	}
-	// Splice: deliver the live events parked during the replay, then
-	// hand the queue over to the broadcast path. Everything parked
-	// derives from records past the snapshotted head, so the stream is
-	// gapless and duplicate-free across the boundary.
-	sub.catchingUp = false
-	for _, ev := range sub.pending {
-		s.sendLocked(sub, ev)
+	if attached {
+		s.removeSubLocked(sub)
 	}
-	sub.pending = nil
+	sub.catchingUp = false
+	// A failed replay must not splice over a gap, and a teardown that
+	// cancelled the replay must not read as a cut connection: both end
+	// with "end", queued drop-oldest. A detached consumer gets nothing.
+	if !ended && (attached || s.state == stateDraining || s.state == stateClosed) {
+		s.sendLocked(sub, Event{Type: "end"})
+	}
+	close(sub.ch)
 }
 
 // feedCatchup replays the log into the subscriber's queue. Sends block
 // (the replay is consumer-paced) but abort on detach or session close.
-func (s *Session) feedCatchup(sub *Subscriber, from, head uint64) error {
-	if head == 0 && !s.Recovered() {
+func (s *Session) feedCatchup(sub *Subscriber, from, head uint64, recovered bool) error {
+	if head == 0 && !recovered {
 		return nil // nothing recorded yet; splice immediately
 	}
 	sweep := time.Duration(s.sweepNs.Load())
@@ -143,10 +150,10 @@ func (s *Session) feedCatchup(sub *Subscriber, from, head uint64) error {
 	// higher tiers replay everything. The tier is fixed at attach for the
 	// whole replay — adaptive retuning starts at the live splice.
 	decimated := sub.tier == 0
-	var sendErr error
+	cancelled := false
 	seq := uint64(0)
 	rp.OnUpdate = func(u engine.Update) {
-		if sendErr != nil {
+		if cancelled {
 			return
 		}
 		for _, p := range u.Positions {
@@ -159,33 +166,47 @@ func (s *Session) feedCatchup(sub *Subscriber, from, head uint64) error {
 			select {
 			case sub.ch <- pointEvent(u.Tag, p, seq):
 			case <-sub.cancel:
-				sendErr = errCatchupCancelled
+				cancelled = true
 				return
 			}
 		}
 	}
-	err = s.reg.cfg.WAL.Replay(s.ID, head, func(rec wal.Record) error {
-		seq = rec.Seq
+	err = s.replayLog(rp, head, func(at uint64) error {
+		if cancelled {
+			return errCatchupCancelled
+		}
+		seq = at
+		return nil
+	})
+	if cancelled {
+		return nil // detach mid-replay is a clean end, not a failure
+	}
+	return err
+}
+
+// replayLog feeds the session's log up to head (0 = all of it) through
+// rp: the one WAL replay loop, shared by retrace and catch-up. Report
+// records are offered, flush and close records drain, and a final flush
+// closes any sweep still open (a no-op when the log already ended on a
+// flush, so clean and torn logs replay alike). at runs before each
+// record with its sequence number; its error stops the replay.
+func (s *Session) replayLog(rp *engine.Replayer, head uint64, at func(seq uint64) error) error {
+	err := s.reg.cfg.WAL.Replay(s.ID, head, func(rec wal.Record) error {
+		if err := at(rec.Seq); err != nil {
+			return err
+		}
 		switch rec.Type {
 		case wal.RecordReport:
-			if err := rp.Offer(rec.Report); err != nil {
-				return err
-			}
+			return rp.Offer(rec.Report)
 		case wal.RecordFlush, wal.RecordClose:
 			rp.Flush()
 		}
-		return sendErr
+		return nil
 	})
-	if err == nil && sendErr == nil {
+	if err == nil {
 		rp.Flush()
 	}
-	if errors.Is(err, errCatchupCancelled) || errors.Is(sendErr, errCatchupCancelled) {
-		return nil // detach mid-replay is a clean end, not a failure
-	}
-	if err != nil {
-		return err
-	}
-	return sendErr
+	return err
 }
 
 var errCatchupCancelled = errors.New("server: catch-up cancelled")
@@ -251,23 +272,9 @@ func (s *Session) Retrace(search *vote.SearchConfig) ([]engine.TagResult, uint64
 		return nil, 0, err
 	}
 	var last uint64
-	err = s.reg.cfg.WAL.Replay(s.ID, head, func(rec wal.Record) error {
-		last = rec.Seq
-		switch rec.Type {
-		case wal.RecordReport:
-			return rp.Offer(rec.Report)
-		case wal.RecordFlush, wal.RecordClose:
-			rp.Flush()
-		}
-		return nil
-	})
-	if err != nil {
+	if err := s.replayLog(rp, head, func(seq uint64) error { last = seq; return nil }); err != nil {
 		return nil, 0, err
 	}
-	// A final flush closes any open sweep; after a log whose last record
-	// already was a flush it is a no-op (tracker flush idempotence), so
-	// clean and torn logs retrace alike.
-	rp.Flush()
 	s.reg.metrics.Retraces.Add(1)
 	s.timeline.Record(obs.EventRetrace, "head="+strconv.FormatUint(head, 10))
 	s.touch() // retention clock: the record is in active use

@@ -282,6 +282,36 @@ type stroke struct {
 	n int
 }
 
+// sessionState is a session's lifecycle phase. A *Session lives through
+// exactly one of two paths:
+//
+//	live → draining → closed   built by newSession: pump, engine, flusher
+//	recovered → closed         built by newRecoveredSession: the WAL record only
+//
+// Parking or idle-expiring a durable live session closes it and installs
+// a recovered successor under its ID; Resume does the reverse.
+type sessionState uint8
+
+const (
+	// stateLive admits ingest, readers, and live and catch-up subscribers.
+	stateLive sessionState = iota
+	// stateDraining is a teardown in flight (claimed by Close, idle
+	// expiry or a park): every attach refuses.
+	stateDraining
+	// stateRecovered serves retrace and catch-up replays from the WAL.
+	stateRecovered
+	// stateClosed is terminal.
+	stateClosed
+)
+
+// successor is the allowed-transition table: each state has exactly one
+// way out, and closed has none.
+var successor = map[sessionState]sessionState{
+	stateLive:      stateDraining,
+	stateDraining:  stateClosed,
+	stateRecovered: stateClosed,
+}
+
 // Session binds one client's tag-set to a tracking engine and fans its
 // live output to subscribers. All ingest flows through a single pump
 // goroutine (satisfying the engine's single-ingest-goroutine contract);
@@ -315,36 +345,20 @@ type Session struct {
 	// reader attach and subscriber attach.
 	lastActive atomic.Int64
 
-	// mu guards lifecycle state: closed, closing, recovered, readers.
-	mu     sync.Mutex
-	closed bool
-	// closing marks the session claimed by idle expiry: the registry set
-	// it atomically (under mu AND emitMu, with no readers or subscribers
-	// attached) before starting the teardown, so attach paths refuse
-	// instead of binding to a session mid-teardown. Because it is only
-	// ever written with both locks held, holding either suffices to read.
-	closing bool
-	// recovered marks a session serving from its retained WAL only: no
-	// pump, no engine, no ingest — rehydrated at startup or parked by
-	// idle expiry. quitOpen records whether quit still needs closing
-	// (false for sessions born recovered, whose quit starts closed).
-	recovered bool
-	quitOpen  bool
-	readers   map[net.Conn]struct{}
+	// state is the lifecycle phase. transition is its only writer and
+	// holds both mu and emitMu to write it, so either lock suffices to
+	// read it. mu also guards readers.
+	mu      sync.Mutex
+	state   sessionState
+	readers map[net.Conn]struct{}
 	// closeOnce runs the shutdown exactly once; later Close calls wait.
 	closeOnce sync.Once
 
 	// emitMu guards subscribers and stroke state, written from engine
-	// shard goroutines (OnUpdate) and the pump. subsClosed flips when
-	// Close sweeps the subscriber table, so a racing Subscribe cannot
-	// add a queue nobody will ever close. replayAttachable gates WAL
-	// catch-up attaches on recovered sessions (their live table is
-	// already swept).
-	emitMu           sync.Mutex
-	subs             map[*Subscriber]struct{}
-	subsClosed       bool
-	replayAttachable bool
-	strokes          map[string]*stroke
+	// shard goroutines (OnUpdate) and the pump.
+	emitMu  sync.Mutex
+	subs    map[*Subscriber]struct{}
+	strokes map[string]*stroke
 	// Group-commit state (guarded by emitMu except the channels): events
 	// bound for subscribers accumulate in emitBuf; emitKick (cap 1)
 	// nudges the emitFlusher goroutine, which swaps the buffer against
@@ -476,7 +490,6 @@ func newSession(reg *Registry, spec SessionSpec, resume resumeState) *Session {
 		reg:        reg,
 		inbox:      make(chan ingestItem, reg.cfg.IngestBuffer),
 		quit:       make(chan struct{}),
-		quitOpen:   true,
 		pumpDone:   make(chan struct{}),
 		readers:    map[net.Conn]struct{}{},
 		subs:       map[*Subscriber]struct{}{},
@@ -507,39 +520,93 @@ func newSession(reg *Registry, spec SessionSpec, resume resumeState) *Session {
 	return s
 }
 
-// newRecoveredSession rehydrates a closed-but-retained session from its
-// WAL at daemon startup: a registry entry with no pump and no engine,
-// addressable for retrace and ?from catch-up replay.
-func newRecoveredSession(reg *Registry, meta wal.Meta, stats wal.Stats) *Session {
-	quit := make(chan struct{})
-	close(quit)
-	pumpDone := make(chan struct{})
-	close(pumpDone)
+// sessionRecord is what a recovered session is built from: the durable
+// record's identity and head, plus, when a live session is parked, the
+// last observable state of the session that wrote it, so a parked
+// session reads on /v1 as it did before the park. Startup recovery
+// fills it from the log's meta and stats, a park from the closed session
+// (Session.record).
+type sessionRecord struct {
+	meta   wal.Meta
+	head   uint64
+	policy WALPolicy
+	// From a parked session only; zero at startup recovery.
+	reports, points, glyphs, drops   int64
+	resyncs, outOfOrder, reorderLate int64
+	active                           int64 // idle clock, unix nanos
+	stats                            []engine.TagStats
+	timeline                         *obs.Timeline
+	spans                            *obs.SpanRing
+}
+
+// closedCh is every recovered session's quit and pumpDone: ingest
+// refuses and pump waiters return at once.
+var closedCh = func() chan struct{} { c := make(chan struct{}); close(c); return c }()
+
+// newRecoveredSession builds a registry entry serving a retained WAL
+// record: no pump, no engine, no ingest; addressable for retrace and
+// ?from catch-up replay, and resumable. Startup recovery and every park
+// (operator, pressure, idle expiry) build recovered sessions here.
+func newRecoveredSession(reg *Registry, rec sessionRecord) *Session {
 	s := &Session{
-		ID:               meta.ID,
-		Created:          meta.Created,
-		geometry:         meta.Geometry,
-		search:           searchFromMeta(meta.Search),
-		reg:              reg,
-		quit:             quit,
-		pumpDone:         pumpDone,
-		closed:           true,
-		recovered:        true,
-		replayAttachable: true,
-		subsClosed:       true,
-		readers:          map[net.Conn]struct{}{},
-		subs:             map[*Subscriber]struct{}{},
-		logger:           reg.logger.With("session", meta.ID),
-		stripe:           reg.nextStripe(),
-		timeline:         &obs.Timeline{},
-		spans:            &obs.SpanRing{},
+		ID:        rec.meta.ID,
+		Created:   rec.meta.Created,
+		geometry:  rec.meta.Geometry,
+		search:    searchFromMeta(rec.meta.Search),
+		walPolicy: rec.policy,
+		reg:       reg,
+		quit:      closedCh,
+		pumpDone:  closedCh,
+		state:     stateRecovered,
+		readers:   map[net.Conn]struct{}{},
+		subs:      map[*Subscriber]struct{}{},
+		logger:    reg.logger.With("session", rec.meta.ID),
+		stripe:    reg.nextStripe(),
+		timeline:  rec.timeline,
+		spans:     rec.spans,
+		lastStats: rec.stats,
 	}
-	s.timeline.Record(obs.EventRecover, "last_seq="+strconv.FormatUint(stats.LastSeq, 10))
-	s.walSeq.Store(stats.LastSeq)
-	s.sweepNs.Store(int64(meta.Sweep))
-	s.reports.Store(int64(stats.Reports))
+	if s.timeline == nil {
+		s.timeline = &obs.Timeline{}
+		s.timeline.Record(obs.EventRecover, "last_seq="+strconv.FormatUint(rec.head, 10))
+	}
+	if s.spans == nil {
+		s.spans = &obs.SpanRing{}
+	}
+	s.walSeq.Store(rec.head)
+	s.sweepNs.Store(int64(rec.meta.Sweep))
+	s.reports.Store(rec.reports)
+	s.points.Store(rec.points)
+	s.glyphs.Store(rec.glyphs)
+	s.drops.Store(rec.drops)
+	s.resyncs.Store(rec.resyncs)
+	s.outOfOrder.Store(rec.outOfOrder)
+	s.reorderLate.Store(rec.reorderLate)
 	s.touch()
+	if rec.active != 0 {
+		s.lastActive.Store(rec.active)
+	}
 	return s
+}
+
+// record snapshots a closed session into its recovered successor's
+// record.
+func (s *Session) record() sessionRecord {
+	return sessionRecord{
+		meta: s.meta(time.Duration(s.sweepNs.Load())), head: s.walSeq.Load(), policy: s.walPolicy,
+		reports: s.reports.Load(), points: s.points.Load(), glyphs: s.glyphs.Load(), drops: s.drops.Load(),
+		resyncs: s.resyncs.Load(), outOfOrder: s.outOfOrder.Load(), reorderLate: s.reorderLate.Load(),
+		active: s.lastActive.Load(), stats: s.TagStats(),
+		timeline: s.timeline, spans: s.spans,
+	}
+}
+
+// meta is the session's WAL meta record at the given sweep cadence.
+func (s *Session) meta(sweep time.Duration) wal.Meta {
+	return wal.Meta{
+		ID: s.ID, Created: s.Created, Sweep: sweep,
+		Geometry: s.geometry, Search: searchToMeta(s.search),
+	}
 }
 
 // Geometry names the session's antenna geometry ("" = default).
@@ -583,33 +650,49 @@ func searchFromMeta(m wal.SearchMeta) *vote.SearchConfig {
 	return sc
 }
 
+// lifecycle reads the session's state.
+func (s *Session) lifecycle() sessionState {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.state
+}
+
+// transition is the state field's only writer: it moves the session to
+// `to` when the successor table allows the move from the current state
+// and cond (if non-nil) holds. It holds mu and emitMu across the check
+// and the write, so cond sees readers and subscribers frozen and a
+// reader holding either lock sees a stable state.
+func (s *Session) transition(to sessionState, cond func() bool) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.emitMu.Lock()
+	defer s.emitMu.Unlock()
+	if next, ok := successor[s.state]; !ok || next != to || (cond != nil && !cond()) {
+		return false
+	}
+	s.state = to
+	return true
+}
+
+// pipelined reports whether the session was built live (newSession)
+// rather than from a record. Fixed for the object's life, it decides
+// which gauge the session's registry entry counts in.
+func (s *Session) pipelined() bool { return s.inbox != nil }
+
 // Recovered reports whether the session serves from its retained WAL
 // only (no live pump or engine).
-func (s *Session) Recovered() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.recovered
-}
+func (s *Session) Recovered() bool { return s.lifecycle() == stateRecovered }
 
-// Closing reports whether idle expiry has claimed the session and its
-// teardown is in flight (but not yet parked or removed).
-func (s *Session) Closing() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closing && !s.recovered
-}
-
-// State names the session's lifecycle phase for the control API.
+// State names the session's lifecycle phase for the control API: a
+// draining session already reads "closed".
 func (s *Session) State() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	switch {
-	case s.recovered:
-		return "recovered"
-	case s.closed, s.closing:
-		return "closed"
-	default:
+	switch s.lifecycle() {
+	case stateLive:
 		return "live"
+	case stateRecovered:
+		return "recovered"
+	default:
+		return "closed"
 	}
 }
 
@@ -808,16 +891,12 @@ func (s *Session) newSubscriber(o SubscribeOptions) *Subscriber {
 }
 
 // admitLocked is the one subscriber admission check, shared by live and
-// catch-up attaches: a session that can no longer take subscribers
-// refuses (a recovered one only once its record stops being
-// attachable), and an attach past the per-session cap is shed and
-// recorded on the session timeline. Requires emitMu.
-func (s *Session) admitLocked(recovered bool) error {
-	closed := s.subsClosed || s.closing
-	if recovered {
-		closed = !s.replayAttachable
-	}
-	if closed {
+// catch-up attaches: a live session admits both, a recovered one only
+// catch-up replays, and every other state refuses. An attach past the
+// per-session cap is shed and recorded on the session timeline.
+// Requires emitMu.
+func (s *Session) admitLocked(catchup bool) error {
+	if s.state != stateLive && (s.state != stateRecovered || !catchup) {
 		return ErrSessionClosed
 	}
 	if len(s.subs) >= s.reg.cfg.MaxSubscribers {
@@ -908,15 +987,20 @@ func (s *Session) setTierLocked(sub *Subscriber, tier uint8, reason string) {
 // step-downs across all its subscribers.
 func (s *Session) TierDowngrades() int64 { return s.tierDowngrades.Load() }
 
-// detach removes a subscriber, closing its queue exactly once. A
-// subscriber still catching up is signalled instead: its replay
-// goroutine owns the queue and closes it on the way out.
+// detach removes a subscriber, closing its queue exactly once. Safe on
+// an already-detached subscriber.
 func (s *Session) detach(sub *Subscriber) {
 	s.emitMu.Lock()
 	defer s.emitMu.Unlock()
-	if _, ok := s.subs[sub]; !ok {
-		return
+	if _, ok := s.subs[sub]; ok {
+		s.detachLocked(sub)
 	}
+}
+
+// detachLocked removes an attached subscriber. A subscriber still
+// catching up is cancelled instead of closed: its replay goroutine owns
+// the queue and ends it on the way out. Requires emitMu.
+func (s *Session) detachLocked(sub *Subscriber) {
 	s.removeSubLocked(sub)
 	if sub.catchingUp {
 		close(sub.cancel)
@@ -938,7 +1022,7 @@ func (s *Session) Subscribers() int {
 func (s *Session) addReader(conn net.Conn) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed || s.closing {
+	if s.state != stateLive {
 		return ErrSessionClosed
 	}
 	s.readers[conn] = struct{}{}
@@ -959,99 +1043,39 @@ func (s *Session) Readers() int {
 	return len(s.readers)
 }
 
-// claimExpiry atomically claims an idle-expirable session for teardown:
-// holding BOTH lifecycle locks it re-checks the expiry conditions (no
-// recent activity, no readers, no subscribers) and, if they hold, marks
-// the session closing so every attach path refuses from this instant on.
-// This closes the check-then-close race where an ingest attach or a new
-// subscriber landing between an expiry check and the teardown was bound
-// to a session mid-teardown: now either the attach wins (and the claim
-// fails, leaving the session alive) or the claim wins (and the attach is
-// refused with ErrSessionClosed).
-func (s *Session) claimExpiry(now time.Time, idle time.Duration) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.emitMu.Lock()
-	defer s.emitMu.Unlock()
-	if s.closed || s.closing || s.recovered {
-		return false
-	}
-	if now.Sub(s.idleSince()) <= idle {
-		return false
-	}
-	if len(s.readers) > 0 || len(s.subs) > 0 {
-		return false
-	}
-	s.closing = true
-	return true
-}
-
-// claimPark atomically claims a live session for parking. Unlike
-// claimExpiry it ignores activity, readers and subscribers — parking is
-// deliberate load shedding, so attached consumers are disconnected —
-// but like it, once the claim lands every attach path refuses, so
-// nothing binds to the session mid-teardown.
-func (s *Session) claimPark() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.emitMu.Lock()
-	defer s.emitMu.Unlock()
-	if s.closed || s.closing || s.recovered {
-		return false
-	}
-	s.closing = true
-	return true
-}
-
-// enterRecovered parks a fully closed WAL-backed session in the
-// recovered state: retained in the registry, addressable for retrace and
-// catch-up replay, holding no engine or goroutines.
-func (s *Session) enterRecovered() {
-	s.mu.Lock()
-	s.recovered = true
-	s.mu.Unlock()
-	s.emitMu.Lock()
-	s.replayAttachable = true
-	s.emitMu.Unlock()
-}
-
-// closeRecovered tears a recovered session down: refuses further
-// catch-up attaches and cancels in-flight ones. It exists apart from
-// Close because an expiry-parked session already consumed its closeOnce
-// on the way into the recovered state. Idempotent.
-func (s *Session) closeRecovered() {
-	s.emitMu.Lock()
-	defer s.emitMu.Unlock()
-	s.replayAttachable = false
-	for sub := range s.subs {
-		s.removeSubLocked(sub)
-		if sub.catchingUp {
-			close(sub.cancel)
-			continue
-		}
-		close(sub.ch)
+// expirable reports whether idle expiry may claim the session: no
+// activity for longer than idle, and no readers or subscribers. Passed
+// as the condition of the live → draining claim (see transition), it is
+// checked under both locks, so an attach racing the expiry either keeps
+// the session alive (the claim fails) or is refused (the claim won).
+// A park claims with no condition: parking disconnects consumers.
+func (s *Session) expirable(now time.Time, idle time.Duration) func() bool {
+	return func() bool {
+		return now.Sub(s.idleSince()) > idle && len(s.readers) == 0 && len(s.subs) == 0
 	}
 }
 
-// Close tears the session down: stops the pump (which drains pending
-// ingest, flushes and closes the engine), disconnects readers, emits a
-// final "end" event and closes every subscriber queue. It is idempotent
-// and safe to call concurrently; every caller returns after the shutdown
-// has completed.
+// Close is the one teardown, for a session in any state and idempotent:
+// every caller returns after the shutdown has completed. A live (or
+// claimed, draining) session stops its pump, which drains pending
+// ingest, flushes and closes the engine and emits a final "end";
+// readers are disconnected, and every subscriber queue is ended. A
+// recovered session only ends its catch-up replays.
 func (s *Session) Close() {
 	s.closeOnce.Do(func() {
+		if s.Recovered() {
+			s.transition(stateClosed, nil)
+			s.endSubscribers()
+			return
+		}
+		s.transition(stateDraining, nil) // fails harmlessly when already claimed
 		s.mu.Lock()
-		s.closed = true
-		quitOpen := s.quitOpen
-		s.quitOpen = false
 		conns := make([]net.Conn, 0, len(s.readers))
 		for c := range s.readers {
 			conns = append(conns, c)
 		}
 		s.mu.Unlock()
-		if quitOpen {
-			close(s.quit)
-		}
+		close(s.quit)
 		for _, c := range conns {
 			c.Close()
 		}
@@ -1060,24 +1084,10 @@ func (s *Session) Close() {
 		// retire the flusher (it drains on the way out) before sweeping
 		// the subscriber table, so subscribers get everything —
 		// end included — ahead of their queues closing.
-		if s.emitQuit != nil {
-			close(s.emitQuit)
-			<-s.emitDone
-		}
-		s.emitMu.Lock()
-		s.subsClosed = true
-		s.replayAttachable = false
-		for sub := range s.subs {
-			s.removeSubLocked(sub)
-			if sub.catchingUp {
-				// The catch-up replay goroutine owns the queue; tell it
-				// to stop and let it close the channel.
-				close(sub.cancel)
-				continue
-			}
-			close(sub.ch)
-		}
-		s.emitMu.Unlock()
+		close(s.emitQuit)
+		<-s.emitDone
+		s.transition(stateClosed, nil)
+		s.endSubscribers()
 		// Roll the final counts into the monotonic retired counters
 		// (the pump's quit path refreshed them just before closing the
 		// engine); Swap prevents double-counting with a concurrent
@@ -1089,6 +1099,17 @@ func (s *Session) Close() {
 		s.reg.metrics.SessionsClosed.Add(1)
 	})
 	<-s.pumpDone
+}
+
+// endSubscribers detaches every subscriber at teardown. Live queues
+// already hold the pump's final "end"; a catch-up replay cancelled here
+// ends its own queue with one (see runCatchup).
+func (s *Session) endSubscribers() {
+	s.emitMu.Lock()
+	defer s.emitMu.Unlock()
+	for sub := range s.subs {
+		s.detachLocked(sub)
+	}
 }
 
 // pump is the session's single ingest goroutine: it owns the engine, the
@@ -1181,7 +1202,7 @@ func (s *Session) handle(it ingestItem) {
 		// event after the attach derives from records past the head.
 		s.drain()
 		s.emitMu.Lock()
-		if s.subsClosed {
+		if s.state != stateLive {
 			s.emitMu.Unlock()
 			close(it.catchup.head) // session closing; caller sees 0/closed
 			return
@@ -1203,26 +1224,27 @@ func (s *Session) handle(it ingestItem) {
 }
 
 // handleSweep builds the engine on the first cadence announcement;
-// later announcements (reader reconnects) keep the original cadence.
+// later announcements (reader reconnects) keep the original cadence. A
+// failed build is not retried: it is recorded once on the timeline, and
+// handleReport counts every report it then drops.
 // With a WAL store configured, the session's log opens here — the sweep
 // cadence is part of its meta, and reports cannot reach the engine (or
 // the log) before it is known.
 func (s *Session) handleSweep(sweep time.Duration) {
-	if s.eng != nil {
+	if s.sweep > 0 {
 		return
 	}
+	s.sweep = sweep
 	eng, err := s.reg.cfg.NewEngine(sweep, s.geometry, s.search, s.onUpdate)
 	if err != nil {
 		s.logger.Error("engine build failed", "err", err)
+		s.timeline.Record(obs.EventEngineFailed, err.Error())
 		return
 	}
-	s.eng, s.sweep = eng, sweep
+	s.eng = eng
 	s.sweepNs.Store(int64(sweep))
 	if st := s.reg.cfg.WAL; st != nil && !s.walPolicy.Disable {
-		meta := wal.Meta{
-			ID: s.ID, Created: s.Created, Sweep: sweep,
-			Geometry: s.geometry, Search: searchToMeta(s.search),
-		}
+		meta := s.meta(sweep)
 		over := wal.Overrides{SyncEvery: s.walPolicy.SyncEvery}
 		var log *wal.Log
 		if s.resumeFrom > 0 {
@@ -1257,7 +1279,9 @@ func (s *Session) handleReport(rep rfid.Report, arr int64) {
 	}
 	if s.eng == nil {
 		// No cadence announced yet (defensive: the gateway always sends
-		// the Hello first). Drop rather than grow without bound.
+		// the Hello first), or the engine could not be built. Drop rather
+		// than grow without bound, and count it.
+		s.reg.metrics.ReportsDropped.Add(1)
 		return
 	}
 	hold := s.reg.cfg.ReorderWindow
